@@ -91,13 +91,8 @@ class AttentionBlock:
         return [self.w1, self.w2]
 
     def resolve_indices(self, f_dim: int, t_dim: int):
-        if self.indices:
-            for f, t in self.indices:
-                if not (0 <= f < f_dim and 0 <= t < t_dim):
-                    raise IndexError(
-                        f"frequency index {(f, t)} out of range for {f_dim}x{t_dim} map")
-            return self.indices
-        return tuple(dct.select_frequency_indices(f_dim, t_dim, self.k))
+        """Fixed indices as given (dct.dct_basis range-checks them), else the k lowest."""
+        return self.indices or tuple(dct.select_frequency_indices(f_dim, t_dim, self.k))
 
 
 def parameter_count(block: AttentionBlock) -> int:
@@ -162,9 +157,8 @@ def sfsc_forward(block: AttentionBlock, x: np.ndarray, return_state: bool = Fals
     _check_input(block, x)
     c, f_dim, t_dim = x.shape
     planes = _normalized_planes(block, f_dim, t_dim)
-    group = c // block.k
-    xg = x.reshape(block.k, group, f_dim, t_dim)
-    z = np.einsum("kij,kgij->kg", planes, xg).reshape(c)
+    xg = x.reshape(block.k, c // block.k, f_dim * t_dim)
+    z = np.matmul(xg, planes.reshape(block.k, -1, 1)).reshape(c)
     state = AttentionState(x=x, s=None, planes=planes)
     s = _excite(block, state, [z])
     y = x * s[:, None, None]
@@ -178,7 +172,7 @@ def mfsc_forward(block: AttentionBlock, x: np.ndarray, return_state: bool = Fals
     _check_input(block, x)
     c, f_dim, t_dim = x.shape
     planes = _normalized_planes(block, f_dim, t_dim)
-    z_full = np.einsum("nij,cij->nc", planes, x)     # (k, C)
+    z_full = planes.reshape(len(planes), -1) @ x.reshape(c, -1).T     # (k, C)
     state = AttentionState(x=x, s=None, planes=planes)
     if block.aggregation == "avg":
         zs = [z_full.mean(axis=0)]
@@ -240,6 +234,6 @@ def attention_backward(block: AttentionBlock, state: AttentionState, dy: np.ndar
         else:
             dz_stack += dzs[0][None, :] / state.planes.shape[0]
             dz_stack[state.argmax, np.arange(c)] += dzs[1]
-        dx += np.einsum("nc,nij->cij", dz_stack, state.planes)
+        dx += (dz_stack.T @ state.planes.reshape(len(dz_stack), -1)).reshape(x.shape)
 
     return dx, dw1, dw2

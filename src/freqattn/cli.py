@@ -19,7 +19,8 @@ from . import dct
 from . import features as feats
 from . import metrics as mt
 from . import speakernet as sn
-from .errors import ConfigError, DimensionError, FormatError, NumericError, ParseError
+from .errors import (CapacityError, ConfigError, DimensionError, FormatError, NumericError,
+                     ParseError)
 
 _KNOWN_ERRORS = (ConfigError, DimensionError, FormatError, NumericError,
                  ParseError, FileNotFoundError, IndexError, ValueError)
@@ -119,7 +120,10 @@ def _load_model(checkpoint_path):
     net = sn.SpeakerNet(cfgmod.to_network_config(cfg), rng)
     head = sn.AamHead(cfg.network.num_speakers, cfg.network.embedding_dim,
                       margin=cfg.loss.margin, scale=cfg.loss.scale, rng=rng)
-    sn.restore_parameters(net.parameters() + head.parameters(), entries)
+    try:
+        sn.restore_parameters(net.parameters() + head.parameters(), entries)
+    except FormatError as exc:
+        raise FormatError(f"{checkpoint_path}: {exc}") from None
     return cfg, net
 
 
@@ -144,8 +148,12 @@ def cmd_score(args) -> int:
     for trial in trials:
         for tid in (trial.enroll, trial.test):
             if tid not in embeddings:
-                fm = feats.read_feat(_feature_path(features_dir, tid))
-                embeddings[tid] = sn.forward_embed(net, fm.values[None, :, :])
+                path = _feature_path(features_dir, tid)
+                fm = feats.read_feat(path)
+                try:
+                    embeddings[tid] = sn.forward_embed(net, fm.values[None, :, :])
+                except CapacityError as exc:
+                    raise CapacityError(f"{path}: {exc}") from None
     for trial in trials:
         trial.score = mt.cosine_score(embeddings[trial.enroll], embeddings[trial.test])
     Path(args.out).write_text(mt.format_scores(trials))

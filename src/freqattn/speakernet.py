@@ -9,6 +9,7 @@ training is single-threaded and fully deterministic given the seed.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -373,30 +374,39 @@ def save_checkpoint(path, config_text: str, params) -> None:
 
 
 def load_checkpoint(path):
-    """Return (config_text, ordered list of (name, array))."""
+    """Return (config_text, ordered list of (name, array)).
+
+    A file cut short raises FormatError naming the path and the byte offset
+    of the first field that runs past its end.
+    """
     raw = Path(path).read_bytes()
-    if len(raw) < 12 or raw[:4] != CKPT_MAGIC:
+    pos = 0
+
+    def take(size, what):
+        nonlocal pos
+        if pos + size > len(raw):
+            raise FormatError(f"{path}: truncated at byte offset {pos}: {what} needs "
+                              f"{size} bytes, {len(raw) - pos} left")
+        pos += size
+        return raw[pos - size:pos]
+
+    def u32s(count, what):
+        return struct.unpack(f"<{count}I", take(4 * count, what))
+
+    if take(4, "magic") != CKPT_MAGIC:
         raise FormatError(f"{path}: not a checkpoint file (bad magic)")
-    (version,) = struct.unpack_from("<I", raw, 4)
+    (version,) = u32s(1, "version")
     if version != CKPT_VERSION:
         raise FormatError(f"{path}: unsupported checkpoint version {version}")
-    (cfg_len,) = struct.unpack_from("<I", raw, 8)
-    pos = 12
-    config_text = raw[pos:pos + cfg_len].decode("utf-8")
-    pos += cfg_len
+    (cfg_len,) = u32s(1, "config length")
+    config_text = take(cfg_len, "config text").decode("utf-8")
     entries = []
     while pos < len(raw):
-        (name_len,) = struct.unpack_from("<I", raw, pos)
-        pos += 4
-        name = raw[pos:pos + name_len].decode("utf-8")
-        pos += name_len
-        (rank,) = struct.unpack_from("<I", raw, pos)
-        pos += 4
-        dims = struct.unpack_from(f"<{rank}I", raw, pos)
-        pos += 4 * rank
-        count = int(np.prod(dims)) if rank else 1
-        values = np.frombuffer(raw, dtype="<f8", count=count, offset=pos)
-        pos += 8 * count
+        (name_len,) = u32s(1, "name length")
+        name = take(name_len, "parameter name").decode("utf-8")
+        (rank,) = u32s(1, f"rank of {name}")
+        dims = u32s(rank, f"shape of {name}")
+        values = np.frombuffer(take(8 * math.prod(dims), f"values of {name}"), dtype="<f8")
         entries.append((name, values.reshape(dims).astype(np.float64)))
     return config_text, entries
 

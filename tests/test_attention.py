@@ -1,6 +1,10 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from test_dct import plane_naive
 
 from freqattn import attention as attn
 from freqattn import dct
@@ -232,3 +236,87 @@ class TestAttentionRange:
         x = 10.0 * rng.standard_normal((4, 3, 3))
         s, _ = attn.forward(block, x)
         assert np.all(s > 0.0) and np.all(s < 1.0)
+
+
+def attention_oracle(block, x, dy):
+    """Einsum forward and backward over loop-built planes: (s, y, dx, dw1, dw2)."""
+    c, f_dim, t_dim = x.shape
+    w1, w2 = block.w1.value, block.w2.value
+    planes = np.stack([plane_naive(f_dim, t_dim, f, t)
+                       for f, t in block.resolve_indices(f_dim, t_dim)]) / (f_dim * t_dim)
+    k = planes.shape[0]
+    cols = np.arange(c)
+    if block.variant == "sfsc":
+        xg = x.reshape(k, c // k, f_dim, t_dim)
+        zs = [np.einsum("kij,kgij->kg", planes, xg).reshape(c)]
+    else:
+        z_full = np.einsum("nij,cij->nc", planes, x)
+        win = np.argmax(z_full, axis=0)
+        z_avg, z_max = z_full.mean(axis=0), z_full[win, cols]
+        zs = {"avg": [z_avg], "max": [z_max], "avg_max": [z_avg, z_max]}[block.aggregation]
+    pre = [w1 @ z for z in zs]
+    hid = [np.maximum(a, 0.0) for a in pre]
+    s = 1.0 / (1.0 + np.exp(-sum(w2 @ h for h in hid)))
+    y = x * s[:, None, None]
+
+    du = np.einsum("cij,cij->c", dy, x) * s * (1.0 - s)
+    dw2 = sum(np.outer(du, h) for h in hid)
+    das = [(w2.T @ du) * (a > 0.0) for a in pre]
+    dw1 = sum(np.outer(da, z) for da, z in zip(das, zs))
+    dzs = [w1.T @ da for da in das]
+    dx = dy * s[:, None, None]
+    if block.variant == "sfsc":
+        dx += np.einsum("kg,kij->kgij", dzs[0].reshape(k, c // k), planes).reshape(x.shape)
+    else:
+        dz = np.zeros((k, c))
+        if block.aggregation == "max":
+            dz[win, cols] += dzs[0]
+        else:
+            dz += dzs[0][None, :] / k
+        if block.aggregation == "avg_max":
+            dz[win, cols] += dzs[1]
+        dx += np.einsum("nc,nij->cij", dz, planes)
+    return s, y, dx, dw1, dw2
+
+
+def within_rel(got, want, rtol):
+    """Max-abs error at most rtol times the oracle's max-abs value."""
+    return np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
+
+
+class TestOracleParity:
+    @pytest.mark.parametrize("shape,k", [
+        ((16, 32, 100), 4), ((32, 16, 50), 8), ((64, 8, 25), 16), ((16, 7, 13), 4),
+    ])
+    @pytest.mark.parametrize("variant,aggregation", [
+        ("sfsc", "avg"), ("mfsc", "avg"), ("mfsc", "max"), ("mfsc", "avg_max"),
+    ])
+    def test_forward_and_backward_match_einsum_oracle(self, shape, k, variant,
+                                                      aggregation):
+        rng = np.random.default_rng(sum(shape) + k)
+        block = attn.AttentionBlock(variant, shape[0], 8, k=k, aggregation=aggregation,
+                                    rng=rng)
+        x = np.maximum(rng.standard_normal(shape), 0.0)   # post-ReLU, as in the net
+        dy = rng.standard_normal(shape)
+        s, y, state = attn.forward(block, x, return_state=True)
+        dx, dw1, dw2 = attn.attention_backward(block, state, dy)
+        for got, want in zip((s, y, dx, dw1, dw2), attention_oracle(block, x, dy)):
+            assert within_rel(got, want, 1e-12)
+
+
+class TestNoRetainedPlanes:
+    def test_forward_over_100_lengths_retains_no_dct_memory(self):
+        rng = np.random.default_rng(0)
+        block = attn.AttentionBlock("mfsc", 16, 4, k=8, aggregation="avg_max", rng=rng)
+        xs = [rng.standard_normal((16, 8, t)) for t in range(10, 110)]
+        attn.forward(block, rng.standard_normal((16, 8, 9)))   # numpy's one-time set-up
+        only_dct = [tracemalloc.Filter(True, dct.__file__)]
+        tracemalloc.start()
+        try:
+            for x in xs:
+                attn.forward(block, x)
+            gc.collect()
+            retained = tracemalloc.take_snapshot().filter_traces(only_dct)
+        finally:
+            tracemalloc.stop()
+        assert sum(stat.size for stat in retained.statistics("filename")) == 0

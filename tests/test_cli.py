@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 
@@ -7,6 +8,7 @@ import pytest
 from freqattn import cli
 from freqattn import config as cfgmod
 from freqattn import features as feats
+from freqattn import speakernet as sn
 from freqattn.errors import ParseError
 
 
@@ -299,3 +301,53 @@ class TestScoreAndMetrics:
                           "0 e f 0.200000\n0 g h 0.100000\n")
         assert cli.main(["metrics", "--scores", str(scores)]) == 0
         assert "EER=0.000000" in capsys.readouterr().out
+
+
+def save_untrained_checkpoint(path, cfg):
+    net = sn.SpeakerNet(cfgmod.to_network_config(cfg))
+    head = sn.AamHead(cfg.network.num_speakers, cfg.network.embedding_dim)
+    sn.save_checkpoint(path, cfgmod.serialize_config(cfg),
+                       net.parameters() + head.parameters())
+
+
+class TestScoreRejectsBadInputs:
+    def score(self, ckpt, trials, features_dir, out):
+        return cli.main(["score", "--checkpoint", str(ckpt), "--trials", str(trials),
+                         "--features", str(features_dir), "--out", str(out)])
+
+    def test_checkpoint_cut_at_every_offset(self, synth_dir, tmp_path, capsys):
+        # the smallest network keeps the loop short; every field kind is still cut
+        cfg = tiny_run_config()
+        cfg.network.stages = ((2, 3, 2),)
+        cfg.network.embedding_dim = 2
+        cfg.network.num_speakers = 2
+        cfg.attention.k = (2,)
+        cfg.attention.reduction = 2
+        cut = tmp_path / "cut.ckpt"
+        save_untrained_checkpoint(cut, cfg)
+        scores = tmp_path / "s.txt"
+        for size in reversed(range(cut.stat().st_size)):
+            os.truncate(cut, size)
+            rc = self.score(cut, synth_dir / "trials.txt", synth_dir / "feats", scores)
+            err = capsys.readouterr().err
+            assert rc == 1, size
+            assert err.count("\n") == 1 and err.startswith(f"error: {cut}: "), (size, err)
+        assert not scores.exists()
+
+    def test_short_utterance_error_names_feature_file(self, tmp_path, capsys):
+        cfg = cfgmod.RunConfig()
+        cfg.attention.variant = "sfsc"
+        cfg.network.num_speakers = 2
+        ckpt = tmp_path / "sfsc.ckpt"
+        save_untrained_checkpoint(ckpt, cfg)
+        rng = np.random.default_rng(0)
+        for name, frames in (("short.feat", 6), ("long.feat", 200)):
+            feats.write_feat(tmp_path / name,
+                             feats.FeatureMatrix(rng.standard_normal((64, frames))))
+        trials = tmp_path / "trials.txt"
+        trials.write_text("1 long.feat short.feat\n")
+        rc = self.score(ckpt, trials, tmp_path, tmp_path / "s.txt")
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {tmp_path / 'short.feat'}: cannot select k=16 frequency "
+            f"components from a 8x1 grid (8 available)\n")

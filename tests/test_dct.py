@@ -57,12 +57,11 @@ class TestBasisPlane:
         with pytest.raises(IndexError):
             dct.basis_plane(4, 4, dct.FrequencyIndex(0, -1))
 
-    def test_cached_plane_is_readonly_and_stable(self):
+    def test_plane_is_readonly_and_bitwise_stable(self):
         a = dct.basis_plane(6, 6, dct.FrequencyIndex(2, 1))
         b = dct.basis_plane(6, 6, dct.FrequencyIndex(2, 1))
-        assert a is b
-        assert not a.flags.writeable
-        assert np.array_equal(a, dct._build_plane(6, 6, 2, 1))
+        assert not a.flags.writeable and not b.flags.writeable
+        assert a.tobytes() == b.tobytes()
 
 
 class TestDct2d:
@@ -159,6 +158,18 @@ class TestSelectFrequencyIndices:
             expected = [(f, t) for _, f, t in ranked[:k]]
             assert dct.select_frequency_indices(f_dim, t_dim, k) == expected
 
+    def test_every_grid_and_k_up_to_12x12_matches_sorted_ranking(self):
+        for f_dim in range(1, 13):
+            for t_dim in range(1, 13):
+                ranked = [(f, t) for _, f, t in sorted(
+                    (f + t, f, t) for f in range(f_dim) for t in range(t_dim))]
+                for k in range(f_dim * t_dim + 1):
+                    got = dct.select_frequency_indices(f_dim, t_dim, k)
+                    assert got == ranked[:k], (f_dim, t_dim, k)
+                    assert all(isinstance(i, dct.FrequencyIndex) for i in got)
+                with pytest.raises(CapacityError, match=f"{f_dim}x{t_dim} grid"):
+                    dct.select_frequency_indices(f_dim, t_dim, f_dim * t_dim + 1)
+
 
 class TestDctBasis:
     def test_normalized_lowest_plane_is_uniform(self):
@@ -173,11 +184,11 @@ class TestDctBasis:
         z = np.einsum("ij,cij->c", basis.planes[0], x)
         assert np.max(np.abs(z - dct.gap(x))) < 1e-12
 
-    def test_cache_returns_same_object(self):
+    def test_planes_are_readonly_and_bitwise_stable(self):
         a = dct.dct_basis(3, 3, [(0, 0), (0, 1)])
         b = dct.dct_basis(3, 3, [(0, 0), (0, 1)])
-        assert a is b
-        assert not a.planes.flags.writeable
+        assert not a.planes.flags.writeable and not b.planes.flags.writeable
+        assert a.planes.tobytes() == b.planes.tobytes()
 
 
 class TestOrthogonality:

@@ -308,6 +308,21 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match="magic"):
             sn.load_checkpoint(p)
 
+    def test_truncation_names_path_and_byte_offset(self, tmp_path):
+        net, head = self.build()
+        path = tmp_path / "m.ckpt"
+        sn.save_checkpoint(path, "seed = 7\n", net.parameters() + head.parameters())
+        blob = path.read_bytes()
+        path.write_bytes(blob[:-3])       # inside the last payload, aam.w (4 x 5)
+        with pytest.raises(FormatError, match=rf"m\.ckpt: truncated at byte offset "
+                                              rf"{len(blob) - 160}: values of aam\.w "
+                                              rf"needs 160 bytes, 157 left"):
+            sn.load_checkpoint(path)
+        path.write_bytes(blob[:23])       # inside the first parameter's name length
+        with pytest.raises(FormatError, match=r"m\.ckpt: truncated at byte offset 21: "
+                                              r"name length needs 4 bytes, 2 left"):
+            sn.load_checkpoint(path)
+
     def test_shape_mismatch_rejected(self, tmp_path):
         net, head = self.build()
         path = tmp_path / "m.ckpt"
