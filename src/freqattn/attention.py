@@ -1,18 +1,19 @@
 """Channel attention blocks: SE, SFSC, and MFSC.
 
-All three share one squeeze-excite skeleton: a per-channel descriptor z is
-fed through a bias-free bottleneck (w1: C -> C/r, ReLU, w2: C/r -> C,
-sigmoid) and the resulting vector s rescales the channels. They differ only
-in how z is read off the feature map:
+All three are one squeeze-excite computation. The squeeze projects every
+channel onto k normalized DCT basis planes, giving a (k, C) response
+matrix; each bottleneck branch reads one descriptor vector z off it, and
+the bias-free bottleneck (w1: C -> C/r, ReLU, w2: C/r -> C, sigmoid) sums
+the pre-sigmoid outputs of its branches into the vector s that rescales
+the channels. The variants differ only in which responses z reads:
 
-* ``se``    -- z[c] is the global average of channel c.
-* ``sfsc``  -- channels are split into k contiguous groups; group n is
-  reduced by the normalized DCT basis plane of its assigned frequency
-  index, so every channel in a group shares one frequency component.
-* ``mfsc``  -- every channel is reduced by all k frequency components,
-  giving a k x C stack that is aggregated per channel by mean, max, or
-  both (the avg_max form runs both vectors through the shared bottleneck
-  and sums the two pre-sigmoid outputs).
+* ``se``    -- k = 1 with the (0, 0) plane, whose normalized form is the
+  constant 1/(F*T): z[c] is the global average of channel c.
+* ``sfsc``  -- channels are split into k contiguous groups; channel c
+  reads the response to the plane of its group, row c // (C/k).
+* ``mfsc``  -- every channel reads all k responses, aggregated by their
+  mean (``avg``), their maximum (``max``), or both as two branches
+  (``avg_max``).
 
 The DCT planes are constants, so none of the variants add parameters over
 plain SE: each block owns exactly w1 and w2.
@@ -31,6 +32,7 @@ from .tensor import Parameter, relu, sigmoid
 
 VARIANTS = ("se", "sfsc", "mfsc")
 AGGREGATIONS = ("avg", "max", "avg_max")
+GAP_INDICES = (dct.FrequencyIndex(0, 0),)
 
 
 class AttentionBlock:
@@ -63,8 +65,7 @@ class AttentionBlock:
         if variant == "se":
             if indices:
                 raise ConfigError("se takes no frequency indices")
-            k = 0
-            indices = ()
+            k, indices, aggregation = 1, GAP_INDICES, "avg"
         else:
             if k is None or k < 1:
                 raise ConfigError(f"{variant} needs k >= 1 frequency components")
@@ -79,7 +80,7 @@ class AttentionBlock:
         self.reduction = reduction
         self.k = k
         self.indices = indices
-        self.aggregation = aggregation if variant == "mfsc" else None
+        self.aggregation = None if variant == "sfsc" else aggregation
 
         rng = np.random.default_rng(0) if rng is None else rng
         a1 = 1.0 / np.sqrt(channels)
@@ -104,11 +105,11 @@ class AttentionState:
     """Forward cache consumed by attention_backward."""
     x: np.ndarray
     s: np.ndarray
-    planes: Optional[np.ndarray]        # (k, F, T) normalized planes, None for se
+    planes: Optional[np.ndarray]        # (k, F, T) normalized planes, None for the GAP squeeze
+    reads: list                         # per branch: None (mean over k) or each channel's row
     zs: list = field(default_factory=list)       # one descriptor per bottleneck branch
     pre: list = field(default_factory=list)      # w1 @ z per branch
     hid: list = field(default_factory=list)      # relu(w1 @ z) per branch
-    argmax: Optional[np.ndarray] = None          # winning component per channel (max agg)
 
 
 def _check_input(block, x):
@@ -119,86 +120,53 @@ def _check_input(block, x):
             f"attention: block has {block.channels} channels, input has {x.shape[0]}")
 
 
-def _excite(block, state, zs):
-    """Shared bottleneck; sums pre-sigmoid outputs over branches."""
-    u = np.zeros(block.channels)
-    for z in zs:
-        a = block.w1.value @ z
-        h = relu(a)
-        u += block.w2.value @ h
-        state.zs.append(z)
-        state.pre.append(a)
-        state.hid.append(h)
-    s = sigmoid(u)
-    state.s = s
-    return s
+def _reads(block, z_full):
+    """What each bottleneck branch reads off the (k, C) responses.
 
-
-def _normalized_planes(block, f_dim, t_dim):
-    idx = block.resolve_indices(f_dim, t_dim)
-    return dct.dct_basis(f_dim, t_dim, idx, normalized=True).planes
-
-
-def se_forward(block: AttentionBlock, x: np.ndarray, return_state: bool = False):
-    """Squeeze by global average pooling, excite, rescale channels."""
-    if block.variant != "se":
-        raise ConfigError(f"se_forward called on a {block.variant!r} block")
-    _check_input(block, x)
-    state = AttentionState(x=x, s=None, planes=None)
-    s = _excite(block, state, [x.mean(axis=(1, 2))])
-    y = x * s[:, None, None]
-    return (s, y, state) if return_state else (s, y)
-
-
-def sfsc_forward(block: AttentionBlock, x: np.ndarray, return_state: bool = False):
-    """Squeeze each channel group by its own frequency component, excite, rescale."""
-    if block.variant != "sfsc":
-        raise ConfigError(f"sfsc_forward called on a {block.variant!r} block")
-    _check_input(block, x)
-    c, f_dim, t_dim = x.shape
-    planes = _normalized_planes(block, f_dim, t_dim)
-    xg = x.reshape(block.k, c // block.k, f_dim * t_dim)
-    z = np.matmul(xg, planes.reshape(block.k, -1, 1)).reshape(c)
-    state = AttentionState(x=x, s=None, planes=planes)
-    s = _excite(block, state, [z])
-    y = x * s[:, None, None]
-    return (s, y, state) if return_state else (s, y)
-
-
-def mfsc_forward(block: AttentionBlock, x: np.ndarray, return_state: bool = False):
-    """Squeeze every channel by all k frequency components, aggregate, excite."""
-    if block.variant != "mfsc":
-        raise ConfigError(f"mfsc_forward called on a {block.variant!r} block")
-    _check_input(block, x)
-    c, f_dim, t_dim = x.shape
-    planes = _normalized_planes(block, f_dim, t_dim)
-    z_full = planes.reshape(len(planes), -1) @ x.reshape(c, -1).T     # (k, C)
-    state = AttentionState(x=x, s=None, planes=planes)
+    None reads the mean over k; an array reads row rows[c] for channel c.
+    """
+    if block.variant == "sfsc":
+        return [np.arange(block.channels) // (block.channels // block.k)]
     if block.aggregation == "avg":
-        zs = [z_full.mean(axis=0)]
-    elif block.aggregation == "max":
-        state.argmax = np.argmax(z_full, axis=0)     # ties go to the lowest component
-        zs = [z_full[state.argmax, np.arange(c)]]
-    else:  # avg_max: both vectors share the bottleneck, summed before the sigmoid
-        state.argmax = np.argmax(z_full, axis=0)
-        zs = [z_full.mean(axis=0), z_full[state.argmax, np.arange(c)]]
-    s = _excite(block, state, zs)
-    y = x * s[:, None, None]
-    return (s, y, state) if return_state else (s, y)
+        return [None]
+    win = np.argmax(z_full, axis=0)     # ties go to the lowest component
+    return [win] if block.aggregation == "max" else [None, win]
 
 
 def forward(block: AttentionBlock, x: np.ndarray, return_state: bool = False):
-    """Dispatch on the block's variant."""
-    fn = {"se": se_forward, "sfsc": sfsc_forward, "mfsc": mfsc_forward}[block.variant]
-    return fn(block, x, return_state)
+    """Squeeze x by the block's DCT planes, excite, rescale the channels."""
+    _check_input(block, x)
+    c, f_dim, t_dim = x.shape
+    indices = block.resolve_indices(f_dim, t_dim)
+    if indices == GAP_INDICES:
+        # the normalized (0, 0) plane is constant: its response is the channel mean
+        planes = None
+        z_full = x.mean(axis=(1, 2))[None, :]
+    else:
+        planes = dct.dct_basis(f_dim, t_dim, indices)
+        z_full = planes.reshape(len(planes), -1) @ x.reshape(c, -1).T     # (k, C)
+    state = AttentionState(x=x, s=None, planes=planes, reads=_reads(block, z_full))
+    cols = np.arange(c)
+    u = np.zeros(c)
+    for rows in state.reads:
+        z = z_full.mean(axis=0) if rows is None else z_full[rows, cols]
+        a = block.w1.value @ z
+        h = relu(a)
+        u += block.w2.value @ h     # branches share the bottleneck, summed before the sigmoid
+        state.zs.append(z)
+        state.pre.append(a)
+        state.hid.append(h)
+    s = state.s = sigmoid(u)
+    y = x * s[:, None, None]
+    return (s, y, state) if return_state else (s, y)
 
 
 def attention_backward(block: AttentionBlock, state: AttentionState, dy: np.ndarray):
-    """Exact gradients (dx, dw1, dw2) for any variant from its forward state.
+    """Exact gradients (dx, dw1, dw2) from the forward state.
 
-    The DCT planes are constants, so the squeeze transpose only routes dz
-    back through them; for max aggregation the gradient goes to the winning
-    component recorded in the state.
+    The DCT planes are constants, so the squeeze transpose only scatters
+    each branch's dz back onto the responses it read and routes the (k, C)
+    result back through the planes.
     """
     x, s = state.x, state.s
     if dy.shape != x.shape:
@@ -210,30 +178,24 @@ def attention_backward(block: AttentionBlock, state: AttentionState, dy: np.ndar
     ds = np.einsum("cft,cft->c", dy, x)
     du = ds * s * (1.0 - s)
 
+    k = 1 if state.planes is None else len(state.planes)
+    cols = np.arange(c)
     dw1 = np.zeros_like(block.w1.value)
     dw2 = np.zeros_like(block.w2.value)
-    dzs = []
-    for z, a, h in zip(state.zs, state.pre, state.hid):
+    dz_full = np.zeros((k, c))
+    for rows, z, a, h in zip(state.reads, state.zs, state.pre, state.hid):
         dw2 += np.outer(du, h)
         dh = block.w2.value.T @ du
         da = dh * (a > 0.0)
         dw1 += np.outer(da, z)
-        dzs.append(block.w1.value.T @ da)
-
-    if block.variant == "se":
-        dx += dzs[0][:, None, None] / (f_dim * t_dim)
-    elif block.variant == "sfsc":
-        dzg = dzs[0].reshape(block.k, c // block.k)
-        dx += np.einsum("kg,kij->kgij", dzg, state.planes).reshape(x.shape)
-    else:
-        dz_stack = np.zeros((state.planes.shape[0], c))
-        if block.aggregation == "avg":
-            dz_stack += dzs[0][None, :] / state.planes.shape[0]
-        elif block.aggregation == "max":
-            dz_stack[state.argmax, np.arange(c)] += dzs[0]
+        dz = block.w1.value.T @ da
+        if rows is None:
+            dz_full += dz[None, :] / k
         else:
-            dz_stack += dzs[0][None, :] / state.planes.shape[0]
-            dz_stack[state.argmax, np.arange(c)] += dzs[1]
-        dx += (dz_stack.T @ state.planes.reshape(len(dz_stack), -1)).reshape(x.shape)
+            dz_full[rows, cols] += dz
 
+    if state.planes is None:
+        dx += dz_full[0][:, None, None] / (f_dim * t_dim)
+    else:
+        dx += (dz_full.T @ state.planes.reshape(k, -1)).reshape(x.shape)
     return dx, dw1, dw2

@@ -43,42 +43,26 @@ def _planes(f_dim: int, t_dim: int, indices) -> np.ndarray:
     return _cos_table(f, f_dim)[:, :, None] * _cos_table(t, t_dim)[:, None, :]
 
 
-@dataclass(frozen=True)
-class DctBasis:
-    """Stack of basis planes for an ordered list of frequency indices.
+def dct_basis(f_dim: int, t_dim: int, indices, normalized: bool = True) -> np.ndarray:
+    """Read-only (k, F, T) plane stack for the given index list.
 
     With ``normalized`` set, every plane is divided by F*T so that the (0, 0)
     plane is the constant 1/(F*T) and reducing with it equals the global mean.
     """
-
-    f_dim: int
-    t_dim: int
-    indices: tuple
-    planes: np.ndarray  # (k, F, T), read-only
-    normalized: bool
-
-    @property
-    def k(self) -> int:
-        return len(self.indices)
-
-
-def dct_basis(f_dim: int, t_dim: int, indices, normalized: bool = True) -> DctBasis:
-    """Build the read-only plane stack for the given index list."""
-    idx = tuple(FrequencyIndex(int(f), int(t)) for f, t in indices)
-    for f, t in idx:
+    for f, t in indices:
         if not (0 <= f < f_dim and 0 <= t < t_dim):
             raise IndexError(
                 f"frequency index {(f, t)} out of range for grid {f_dim}x{t_dim}")
-    planes = _planes(f_dim, t_dim, idx)
+    planes = _planes(f_dim, t_dim, indices)
     if normalized:
         planes /= f_dim * t_dim
     planes.setflags(write=False)
-    return DctBasis(f_dim, t_dim, idx, planes, normalized)
+    return planes
 
 
 def basis_plane(f_dim: int, t_dim: int, idx: FrequencyIndex) -> np.ndarray:
     """Unnormalized, read-only cosine-product plane for (f, t) on an F x T grid."""
-    return dct_basis(f_dim, t_dim, [idx], normalized=False).planes[0]
+    return dct_basis(f_dim, t_dim, [idx], normalized=False)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -138,16 +122,13 @@ def gap(x: np.ndarray) -> np.ndarray:
     return x.mean(axis=(1, 2))
 
 
-def select_frequency_indices(f_dim: int, t_dim: int, k: int,
-                             strategy: str = "zigzag_low_first") -> list:
-    """Pick k indices from low to high frequency.
+def select_frequency_indices(f_dim: int, t_dim: int, k: int) -> list:
+    """Pick the k lowest-frequency indices in zigzag order.
 
-    ``zigzag_low_first`` ranks by f+t, breaking ties by smaller f then
-    smaller t, so the first index is always (0, 0). The anti-diagonals
-    d = f + t are walked in ascending f and the walk stops after k indices.
+    Indices rank by f+t, breaking ties by smaller f then smaller t, so the
+    first index is always (0, 0). The anti-diagonals d = f + t are walked in
+    ascending f and the walk stops after k indices.
     """
-    if strategy != "zigzag_low_first":
-        raise ValueError(f"unknown frequency selection strategy: {strategy!r}")
     if k > f_dim * t_dim:
         raise CapacityError(
             f"cannot select k={k} frequency components from a {f_dim}x{t_dim} grid "

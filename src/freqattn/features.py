@@ -15,11 +15,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, FormatError
+from .errors import ConfigError, DimensionError, FormatError, NumericError
 from .tensor import tensor
 
 FEAT_MAGIC = b"FEAT"
 FEAT_VERSION = 1
+FEAT_HEADER_BYTES = 20       # magic, u32 version, u32 rank, two u32 dims
 
 
 @dataclass
@@ -114,6 +115,9 @@ def read_wav(path) -> Waveform:
         raise FormatError(f"{path}: bits_per_sample={bits} unsupported")
     if sample_rate <= 0:
         raise FormatError(f"{path}: sample_rate={sample_rate} invalid")
+    if len(data) % 2:
+        raise FormatError(
+            f"{path}: data chunk of {len(data)} bytes is not a whole number of 16-bit samples")
 
     samples = np.frombuffer(data, dtype="<i2").astype(np.float64) / 32768.0
     if samples.size == 0:
@@ -284,17 +288,26 @@ def write_feat(path, fm: FeatureMatrix) -> None:
 
 def read_feat(path) -> FeatureMatrix:
     raw = Path(path).read_bytes()
-    if len(raw) < 12 or raw[:4] != FEAT_MAGIC:
+    if raw[:4] != FEAT_MAGIC:
         raise FormatError(f"{path}: not a FEAT file")
+    if len(raw) < FEAT_HEADER_BYTES:
+        raise FormatError(
+            f"{path}: header truncated at byte {len(raw)} of {FEAT_HEADER_BYTES}")
     version, rank = struct.unpack_from("<II", raw, 4)
     if version != FEAT_VERSION:
         raise FormatError(f"{path}: unsupported FEAT version {version}")
     if rank != 2:
         raise FormatError(f"{path}: expected rank 2, got {rank}")
     dims = struct.unpack_from("<2I", raw, 12)
-    payload = raw[20:]
+    payload = raw[FEAT_HEADER_BYTES:]
     expect = 8 * dims[0] * dims[1]
     if len(payload) != expect:
         raise FormatError(f"{path}: payload of {len(payload)} bytes, expected {expect}")
     values = np.frombuffer(payload, dtype="<f8").reshape(dims).astype(np.float64)
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        row, frame = np.unravel_index(bad[0], values.shape)
+        raise NumericError(
+            f"{path}: non-finite value {values[row, frame]} at bin {row} frame {frame} "
+            f"({bad.size} in all)")
     return FeatureMatrix(values=values, source=Path(path).stem)

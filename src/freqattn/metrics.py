@@ -10,6 +10,7 @@ uninformative decision, min(c_miss * p_target, c_fa * (1 - p_target)).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -43,12 +44,15 @@ def cosine_score(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _split_scores(trials):
+    if any(t.score is None for t in trials):
+        raise ValueError("all trials must be scored")
+    for t in trials:
+        if not math.isfinite(t.score):
+            raise NumericError(f"non-finite score {t.score} for trial {t.enroll} {t.test}")
     tgt = np.array([t.score for t in trials if t.label == 1], dtype=np.float64)
     non = np.array([t.score for t in trials if t.label == 0], dtype=np.float64)
     if tgt.size == 0 or non.size == 0:
         raise ValueError("need at least one target and one nontarget trial")
-    if any(t.score is None for t in trials):
-        raise ValueError("all trials must be scored")
     return tgt, non
 
 

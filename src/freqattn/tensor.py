@@ -1,10 +1,9 @@
 """Dense-tensor kernels with explicit forward and backward rules.
 
 Values are 64-bit floats in row-major layout throughout; gradient checks at
-1e-4 tolerance are not reliable in 32-bit. There is no broadcasting except
-``channel_scale``: any other shape mismatch raises ``DimensionError``.
-Backward rules are invoked explicitly by callers in reverse layer order;
-there is no autodiff graph.
+1e-4 tolerance are not reliable in 32-bit. conv2d raises ``DimensionError``
+on operand shapes it cannot combine. Backward rules are invoked explicitly
+by callers in reverse layer order; there is no autodiff graph.
 """
 
 from __future__ import annotations
@@ -39,21 +38,6 @@ class Parameter:
 
     def __repr__(self) -> str:
         return f"Parameter(name={self.name!r}, shape={self.value.shape})"
-
-
-# ---------------------------------------------------------------------------
-# matmul
-# ---------------------------------------------------------------------------
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise DimensionError(f"matmul: incompatible shapes {a.shape} x {b.shape}")
-    return a @ b
-
-
-def matmul_backward(a, b, dc):
-    """Gradients of c = a @ b: dA = dC @ B^T, dB = A^T @ dC."""
-    return dc @ b.T, a.T @ dc
 
 
 # ---------------------------------------------------------------------------
@@ -134,50 +118,6 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 def sigmoid_backward(s, dy):
     """Backward from the cached forward output s = sigmoid(x)."""
     return dy * s * (1.0 - s)
-
-
-def _check_same_shape(op, a, b):
-    if a.shape != b.shape:
-        raise DimensionError(f"{op}: shape mismatch {a.shape} vs {b.shape}")
-
-
-def add(a, b):
-    _check_same_shape("add", a, b)
-    return a + b
-
-
-def add_backward(dy):
-    return dy, dy
-
-
-def mul_elementwise(a, b):
-    _check_same_shape("mul_elementwise", a, b)
-    return a * b
-
-
-def mul_elementwise_backward(a, b, dy):
-    return dy * b, dy * a
-
-
-def scale(x, alpha: float):
-    return x * float(alpha)
-
-
-def scale_backward(alpha, dy):
-    return dy * float(alpha)
-
-
-def channel_scale(x: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Multiply every (F,T) plane of channel c by s[c]."""
-    if x.ndim != 3 or s.ndim != 1 or s.shape[0] != x.shape[0]:
-        raise DimensionError(f"channel_scale: x={x.shape} incompatible with s={s.shape}")
-    return x * s[:, None, None]
-
-
-def channel_scale_backward(x, s, dy):
-    dx = dy * s[:, None, None]
-    ds = np.einsum("cft,cft->c", dy, x)
-    return dx, ds
 
 
 # ---------------------------------------------------------------------------

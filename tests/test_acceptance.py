@@ -76,9 +76,9 @@ def test_criterion_3_special_case_reduction(acceptance_report):
             block.w1.value = se.w1.value.copy()
             block.w2.value = se.w2.value.copy()
         x = rng.standard_normal((8, 4, 6))
-        s_se, _ = attn.se_forward(se, x)
-        s_sf, _ = attn.sfsc_forward(sfsc, x)
-        s_mf, _ = attn.mfsc_forward(mfsc, x)
+        s_se, _ = attn.forward(se, x)
+        s_sf, _ = attn.forward(sfsc, x)
+        s_mf, _ = attn.forward(mfsc, x)
         worst = max(worst, float(np.max(np.abs(s_sf - s_se))),
                     float(np.max(np.abs(s_mf - s_se))))
     acceptance_report(3, "SFSC/MFSC reduce to SE at the lowest frequency", worst < 1e-12,

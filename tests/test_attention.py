@@ -42,7 +42,7 @@ class TestSeForward:
         block.w1.value[...] = 0.0
         block.w2.value[...] = 0.0
         x = np.random.default_rng(0).standard_normal((4, 3, 5))
-        s, y = attn.se_forward(block, x)
+        s, y = attn.forward(block, x)
         assert np.allclose(s, 0.5)
         assert np.allclose(y, 0.5 * x)
 
@@ -51,19 +51,14 @@ class TestSeForward:
         block.w1.value = np.eye(2)
         block.w2.value = np.eye(2)
         x = np.ones((2, 3, 4))
-        s, y = attn.se_forward(block, x)
+        s, y = attn.forward(block, x)
         assert np.allclose(s, 0.7310585786300049, atol=1e-12)  # sigmoid(1)
         assert np.allclose(y, 0.7310585786300049)
 
     def test_channel_mismatch(self):
         block = make_block("se", channels=4)
         with pytest.raises(DimensionError):
-            attn.se_forward(block, np.zeros((3, 2, 2)))
-
-    def test_wrong_variant_dispatch(self):
-        block = make_block("mfsc", k=2)
-        with pytest.raises(ConfigError):
-            attn.se_forward(block, np.zeros((8, 2, 2)))
+            attn.forward(block, np.zeros((3, 2, 2)))
 
 
 class TestSfscForward:
@@ -75,8 +70,8 @@ class TestSfscForward:
                             indices=[(0, 0)] * 4)
             copy_weights(se, sf)
             x = rng.standard_normal((8, 4, 6))
-            s_se, y_se = attn.se_forward(se, x)
-            s_sf, y_sf = attn.sfsc_forward(sf, x)
+            s_se, y_se = attn.forward(se, x)
+            s_sf, y_sf = attn.forward(sf, x)
             assert np.max(np.abs(s_se - s_sf)) < 1e-12
             assert np.max(np.abs(y_se - y_sf)) < 1e-12
 
@@ -87,7 +82,7 @@ class TestSfscForward:
                            indices=[(0, 0), (0, 1)])
         x = np.array([[[1.0, 2.0], [3.0, 4.0]],
                       [[1.0, -1.0], [1.0, -1.0]]])
-        _, _, state = attn.sfsc_forward(block, x, return_state=True)
+        _, _, state = attn.forward(block, x, return_state=True)
         assert np.allclose(state.zs[0], [2.5, 0.7071067811865476], atol=1e-12)
         assert np.allclose(state.zs[0],
                            squeeze_naive(x, [(0, 0), (0, 1)], 2, 2), atol=1e-12)
@@ -99,7 +94,7 @@ class TestSfscForward:
     def test_index_out_of_bounds_for_map(self):
         block = make_block("sfsc", channels=4, reduction=2, indices=[(0, 5), (0, 0)])
         with pytest.raises(IndexError):
-            attn.sfsc_forward(block, np.zeros((4, 3, 3)))
+            attn.forward(block, np.zeros((4, 3, 3)))
 
     def test_group_permutation_equivariance(self):
         rng = np.random.default_rng(2)
@@ -109,8 +104,8 @@ class TestSfscForward:
         other.w1.value = block.w1.value[:, perm]
         other.w2.value = block.w2.value[perm, :]
         x = rng.standard_normal((6, 4, 4))
-        s, y = attn.sfsc_forward(block, x)
-        s2, y2 = attn.sfsc_forward(other, x[perm])
+        s, y = attn.forward(block, x)
+        s2, y2 = attn.forward(other, x[perm])
         assert np.allclose(s2, s[perm], atol=1e-12)
         assert np.allclose(y2, y[perm], atol=1e-12)
 
@@ -123,8 +118,8 @@ class TestMfscForward:
                         indices=[(0, 0)], aggregation="avg")
         copy_weights(se, mf)
         x = rng.standard_normal((8, 4, 6))
-        s_se, _ = attn.se_forward(se, x)
-        s_mf, _ = attn.mfsc_forward(mf, x)
+        s_se, _ = attn.forward(se, x)
+        s_mf, _ = attn.forward(mf, x)
         assert np.max(np.abs(s_se - s_mf)) < 1e-12
 
     def test_k1_avg_max_doubles_preactivation(self):
@@ -132,7 +127,7 @@ class TestMfscForward:
         block = make_block("mfsc", channels=8, reduction=4,
                            indices=[(0, 0)], aggregation="avg_max", seed=5)
         x = rng.standard_normal((8, 4, 6))
-        s, _ = attn.mfsc_forward(block, x)
+        s, _ = attn.forward(block, x)
         z = dct.gap(x)
         expected = tz.sigmoid(2.0 * (block.w2.value @ tz.relu(block.w1.value @ z)))
         assert np.allclose(s, expected, atol=1e-12)
@@ -142,7 +137,7 @@ class TestMfscForward:
         x = np.broadcast_to(consts[:, None, None], (3, 4, 4)).copy()
         block = make_block("mfsc", channels=3, reduction=1,
                            indices=[(0, 0), (0, 1), (1, 0)], aggregation="max")
-        _, _, state = attn.mfsc_forward(block, x, return_state=True)
+        _, _, state = attn.forward(block, x, return_state=True)
         # non-constant planes reduce a constant channel to 0, so max(z, 0)
         assert np.allclose(state.zs[0], np.maximum(consts, 0.0), atol=1e-12)
 
@@ -160,21 +155,21 @@ class TestMfscForward:
         from freqattn.errors import CapacityError
         block = make_block("mfsc", k=16, aggregation="avg")
         with pytest.raises(CapacityError):
-            attn.mfsc_forward(block, np.zeros((8, 2, 3)))  # 6 cells < k=16
+            attn.forward(block, np.zeros((8, 2, 3)))  # 6 cells < k=16
 
 
 class TestBackward:
     def test_zero_cotangent_gives_zero_grads(self):
         block = make_block("mfsc", k=4, aggregation="avg_max")
         x = np.random.default_rng(5).standard_normal((8, 4, 6))
-        _, _, state = attn.mfsc_forward(block, x, return_state=True)
+        _, _, state = attn.forward(block, x, return_state=True)
         dx, dw1, dw2 = attn.attention_backward(block, state, np.zeros_like(x))
         assert not dx.any() and not dw1.any() and not dw2.any()
 
     def test_state_shape_mismatch(self):
         block = make_block("se")
         x = np.zeros((8, 4, 6))
-        _, _, state = attn.se_forward(block, x, return_state=True)
+        _, _, state = attn.forward(block, x, return_state=True)
         with pytest.raises(DimensionError):
             attn.attention_backward(block, state, np.zeros((8, 4, 5)))
 
@@ -284,15 +279,12 @@ def within_rel(got, want, rtol):
     return np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
 
 
+PARITY_SHAPES = [((16, 32, 100), 4), ((32, 16, 50), 8), ((64, 8, 25), 16), ((16, 7, 13), 4)]
+
+
 class TestOracleParity:
-    @pytest.mark.parametrize("shape,k", [
-        ((16, 32, 100), 4), ((32, 16, 50), 8), ((64, 8, 25), 16), ((16, 7, 13), 4),
-    ])
-    @pytest.mark.parametrize("variant,aggregation", [
-        ("sfsc", "avg"), ("mfsc", "avg"), ("mfsc", "max"), ("mfsc", "avg_max"),
-    ])
-    def test_forward_and_backward_match_einsum_oracle(self, shape, k, variant,
-                                                      aggregation):
+    @staticmethod
+    def check(shape, k, variant, aggregation):
         rng = np.random.default_rng(sum(shape) + k)
         block = attn.AttentionBlock(variant, shape[0], 8, k=k, aggregation=aggregation,
                                     rng=rng)
@@ -302,6 +294,36 @@ class TestOracleParity:
         dx, dw1, dw2 = attn.attention_backward(block, state, dy)
         for got, want in zip((s, y, dx, dw1, dw2), attention_oracle(block, x, dy)):
             assert within_rel(got, want, 1e-12)
+
+    @pytest.mark.parametrize("shape,k", PARITY_SHAPES)
+    @pytest.mark.parametrize("variant,aggregation", [
+        ("sfsc", "avg"), ("mfsc", "avg"), ("mfsc", "max"), ("mfsc", "avg_max"),
+    ])
+    def test_forward_and_backward_match_einsum_oracle(self, shape, k, variant,
+                                                      aggregation):
+        self.check(shape, k, variant, aggregation)
+
+    @pytest.mark.parametrize("shape", [shape for shape, _ in PARITY_SHAPES])
+    @pytest.mark.parametrize("variant,aggregation", [("se", "avg"), ("mfsc", "avg_max")])
+    def test_gap_squeeze_matches_einsum_oracle(self, shape, variant, aggregation):
+        # se, and mfsc with k = 1, resolve to the (0, 0) plane alone: no planes are built
+        self.check(shape, 1, variant, aggregation)
+
+
+class TestSeSqueezeBuildsNoPlanes:
+    def test_se_forward_and_backward_never_reach_dct(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the se squeeze must not build DCT planes")
+        monkeypatch.setattr(dct, "dct_basis", forbidden)
+        monkeypatch.setattr(dct, "select_frequency_indices", forbidden)
+        rng = np.random.default_rng(0)
+        for shape, _ in PARITY_SHAPES:
+            block = attn.AttentionBlock("se", shape[0], 8, rng=rng)
+            x = rng.standard_normal(shape)
+            _, y, state = attn.forward(block, x, return_state=True)
+            dx, _, _ = attn.attention_backward(block, state, rng.standard_normal(shape))
+            assert state.planes is None
+            assert np.all(np.isfinite(y)) and np.all(np.isfinite(dx))
 
 
 class TestNoRetainedPlanes:

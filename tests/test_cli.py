@@ -118,6 +118,18 @@ class TestExtract:
         assert "channels=2" in captured.err
         assert len(list(out_dir.glob("*.feat"))) == 2
 
+    def test_odd_length_data_chunk_names_file(self, tmp_path, capsys):
+        in_dir = tmp_path / "wav"
+        in_dir.mkdir()
+        self.write_wavs(in_dir, n=1)
+        blob = bytearray((in_dir / "u0.wav").read_bytes())
+        blob[40:44] = (len(blob) - 45).to_bytes(4, "little")    # odd data size
+        (in_dir / "odd.wav").write_bytes(bytes(blob[:-1]))
+        rc = cli.main(["extract", "--in", str(in_dir), "--out", str(tmp_path / "feat")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.count("\n") == 1 and err.startswith(f"error: {in_dir / 'odd.wav'}: ")
+
     def test_rerun_bitwise_identical(self, tmp_path, capsys):
         in_dir = tmp_path / "wav"
         in_dir.mkdir()
@@ -232,6 +244,33 @@ class TestTrain:
         assert rc == 1
         assert "does not exist" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("damage", ["header_cut", "nan"])
+    def test_bad_feature_file_names_it(self, synth_dir, tmp_path, capsys, damage):
+        feat_dir = tmp_path / "feats"
+        feat_dir.mkdir()
+        lines = (synth_dir / "train.txt").read_text().splitlines()
+        for line in lines:
+            name = line.split()[1]
+            (tmp_path / name).write_bytes((synth_dir / name).read_bytes())
+        bad = tmp_path / lines[0].split()[1]
+        if damage == "header_cut":
+            bad.write_bytes(bad.read_bytes()[:15])
+        else:
+            fm = feats.read_feat(bad)
+            fm.values[5, 7] = np.nan
+            feats.write_feat(bad, fm)
+        (tmp_path / "train.txt").write_text("\n".join(lines) + "\n")
+        cfg = tiny_run_config()
+        cfg.paths.train_list = str(tmp_path / "train.txt")
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(cfgmod.serialize_config(cfg))
+        rc = cli.main(["train", "--config", str(cfg_path),
+                       "--out", str(tmp_path / "x.ckpt")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.count("\n") == 1 and err.startswith(f"error: {bad}: "), err
+        assert not (tmp_path / "x.ckpt").exists()
+
     def test_env_seed_override_reaches_training(self, synth_dir, tmp_path,
                                                 capsys, monkeypatch):
         cfg = tiny_run_config()
@@ -294,6 +333,15 @@ class TestScoreAndMetrics:
         assert cli.main(["metrics", "--scores", str(scores)]) == 0
         out = capsys.readouterr().out
         assert "EER=50.000000 minDCF=0.500000" in out
+
+    def test_metrics_rejects_non_finite_score(self, tmp_path, capsys):
+        scores = tmp_path / "scores.txt"
+        scores.write_text("1 a b 0.900000\n1 c d nan\n"
+                          "0 e f 0.200000\n0 g h 0.100000\n")
+        assert cli.main(["metrics", "--scores", str(scores)]) == 1
+        captured = capsys.readouterr()
+        assert "EER=" not in captured.out
+        assert captured.err == "error: non-finite score nan for trial c d\n"
 
     def test_metrics_perfect_separation(self, tmp_path, capsys):
         scores = tmp_path / "scores.txt"

@@ -1,10 +1,11 @@
+import re
 import struct
 
 import numpy as np
 import pytest
 
 from freqattn import features as feats
-from freqattn.errors import ConfigError, DimensionError, FormatError
+from freqattn.errors import ConfigError, DimensionError, FormatError, NumericError
 
 
 def wav_bytes(samples_i16, channels=1, sample_rate=16000, bits=16, audio_format=1):
@@ -52,6 +53,14 @@ class TestReadWav:
         p = tmp_path / "b.wav"
         p.write_bytes(wav_bytes([0, 0], bits=8))
         with pytest.raises(FormatError, match="bits_per_sample"):
+            feats.read_wav(p)
+
+    def test_odd_length_data_chunk_names_file(self, tmp_path):
+        p = tmp_path / "odd.wav"
+        blob = bytearray(wav_bytes([0, 1, 2]))
+        struct.pack_into("<I", blob, 40, 5)        # data size 5 of the 6 bytes present
+        p.write_bytes(bytes(blob[:-1]))
+        with pytest.raises(FormatError, match=re.escape(f"{p}: data chunk of 5 bytes")):
             feats.read_wav(p)
 
     def test_write_read_roundtrip(self, tmp_path):
@@ -244,6 +253,25 @@ class TestFeatFile:
         p = tmp_path / "bad.feat"
         p.write_bytes(b"NOPE" + b"\x00" * 32)
         with pytest.raises(FormatError):
+            feats.read_feat(p)
+
+    def test_header_cut_at_every_offset(self, tmp_path):
+        p = tmp_path / "h.feat"
+        feats.write_feat(p, feats.FeatureMatrix(np.zeros((2, 3))))
+        blob = p.read_bytes()
+        for size in range(feats.FEAT_HEADER_BYTES):
+            p.write_bytes(blob[:size])
+            expected = "not a FEAT file" if size < 4 else f"byte {size} of 20"
+            with pytest.raises(FormatError, match=re.escape(f"{p}: ") + ".*" + expected):
+                feats.read_feat(p)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_payload_names_file_and_cell(self, tmp_path, bad):
+        values = np.zeros((4, 5))
+        values[2, 3] = bad
+        p = tmp_path / "n.feat"
+        feats.write_feat(p, feats.FeatureMatrix(values))
+        with pytest.raises(NumericError, match=re.escape(f"{p}: ") + ".*bin 2 frame 3"):
             feats.read_feat(p)
 
     def test_truncated_payload(self, tmp_path):

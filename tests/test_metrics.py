@@ -85,6 +85,11 @@ class TestEer:
         with pytest.raises(ValueError):
             mt.compute_eer([mt.Trial(1, "a", "b", score=0.5)])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_score_rejected(self, bad):
+        with pytest.raises(NumericError, match="trial e1 t1"):
+            mt.evaluate_trials(scored([0.8, bad], [0.1, 0.2]))
+
     def test_matches_brute_force_on_random_sets(self):
         rng = np.random.default_rng(0)
         for _ in range(100):

@@ -21,28 +21,6 @@ def conv2d_naive(x, w, stride, pad):
     return y
 
 
-class TestMatmul:
-    def test_identity(self):
-        a = tz.tensor([[1.0, 2.0], [3.0, 4.0]])
-        eye = np.eye(2)
-        assert np.array_equal(tz.matmul(eye, a), a)
-        assert np.array_equal(tz.matmul(a, eye), a)
-
-    def test_hand_product(self):
-        a = tz.tensor([[1.0, 2.0]])
-        b = tz.tensor([[3.0], [4.0]])
-        assert np.array_equal(tz.matmul(a, b), [[11.0]])
-
-    def test_zeros_annihilate(self):
-        z = np.zeros((2, 3))
-        b = np.arange(6.0).reshape(3, 2)
-        assert np.array_equal(tz.matmul(z, b), np.zeros((2, 2)))
-
-    def test_shape_mismatch_names_both_shapes(self):
-        with pytest.raises(DimensionError, match=r"\(2, 3\).*\(2, 2\)"):
-            tz.matmul(np.zeros((2, 3)), np.zeros((2, 2)))
-
-
 class TestConv2d:
     def test_identity_kernel(self):
         x = np.random.default_rng(0).standard_normal((3, 5, 7))
@@ -107,27 +85,6 @@ class TestElementwise:
     def test_relu_grad_zero_at_kink(self):
         assert tz.relu_backward(np.array(0.0), np.array(5.0)) == 0.0
 
-    def test_channel_scale_identity(self):
-        x = np.random.default_rng(3).standard_normal((4, 3, 2))
-        assert np.array_equal(tz.channel_scale(x, np.ones(4)), x)
-
-    def test_channel_scale_bad_length(self):
-        with pytest.raises(DimensionError):
-            tz.channel_scale(np.zeros((4, 3, 2)), np.ones(3))
-
-    def test_add_mul_shape_errors(self):
-        with pytest.raises(DimensionError):
-            tz.add(np.zeros(3), np.zeros(4))
-        with pytest.raises(DimensionError):
-            tz.mul_elementwise(np.zeros((2, 2)), np.zeros(4))
-
-    def test_add_mul_scale_values(self):
-        a = tz.tensor([1.0, -2.0])
-        b = tz.tensor([3.0, 5.0])
-        assert np.array_equal(tz.add(a, b), [4.0, 3.0])
-        assert np.array_equal(tz.mul_elementwise(a, b), [3.0, -10.0])
-        assert np.array_equal(tz.scale(a, -0.5), [-0.5, 1.0])
-
 
 class TestGradCheck:
     def test_sigmoid_analytic(self):
@@ -146,17 +103,6 @@ class TestGradCheck:
     @pytest.mark.parametrize("seed", range(10))
     def test_core_ops_random_seeds(self, seed):
         rng = np.random.default_rng(seed)
-        b = rng.standard_normal((4, 3))
-
-        def f_matmul(a):
-            return tz.matmul(a, b), lambda dc: tz.matmul_backward(a, b, dc)[0]
-        assert tz.grad_check(f_matmul, rng.standard_normal((2, 4)), rng=rng).passed
-
-        def f_matmul_b(bv):
-            return tz.matmul(a_fixed, bv), lambda dc: tz.matmul_backward(a_fixed, bv, dc)[1]
-        a_fixed = rng.standard_normal((2, 4))
-        assert tz.grad_check(f_matmul_b, rng.standard_normal((4, 3)), rng=rng).passed
-
         w = rng.standard_normal((2, 3, 2, 2))
 
         def f_conv_x(x):
@@ -170,13 +116,6 @@ class TestGradCheck:
                 lambda dy: tz.conv2d_backward(x_fixed, wv, dy, 2, 1)[1]
         assert tz.grad_check(f_conv_w, rng.standard_normal((2, 3, 2, 2)), rng=rng).passed
 
-        s_fixed = rng.standard_normal(3)
-
-        def f_cs(x):
-            return tz.channel_scale(x, s_fixed), \
-                lambda dy: tz.channel_scale_backward(x, s_fixed, dy)[0]
-        assert tz.grad_check(f_cs, rng.standard_normal((3, 2, 4)), rng=rng).passed
-
         def f_sig(x):
             s = tz.sigmoid(x)
             return s, lambda dy: tz.sigmoid_backward(s, dy)
@@ -189,21 +128,6 @@ class TestGradCheck:
         def f_relu(x):
             return tz.relu(x), lambda dy: tz.relu_backward(x, dy)
         assert tz.grad_check(f_relu, pts, rng=rng).passed
-
-        other = rng.standard_normal((3, 2))
-
-        def f_add(x):
-            return tz.add(x, other), lambda dy: tz.add_backward(dy)[0]
-        assert tz.grad_check(f_add, rng.standard_normal((3, 2)), rng=rng).passed
-
-        def f_mul(x):
-            return tz.mul_elementwise(x, other), \
-                lambda dy: tz.mul_elementwise_backward(x, other, dy)[0]
-        assert tz.grad_check(f_mul, rng.standard_normal((3, 2)), rng=rng).passed
-
-        def f_scale(x):
-            return tz.scale(x, -1.7), lambda dy: tz.scale_backward(-1.7, dy)
-        assert tz.grad_check(f_scale, rng.standard_normal(4), rng=rng).passed
 
     def test_parameter_shape_invariant(self):
         p = tz.Parameter(np.zeros((2, 3)), "w")
