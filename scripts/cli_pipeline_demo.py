@@ -38,11 +38,11 @@ def main(argv=None):
 
     cfg = cfgmod.RunConfig()
     cfg.seed = args.seed
-    cfg.attention.variant = args.variant
-    cfg.attention.aggregation = args.aggregation
-    cfg.optimizer.epochs = args.epochs
-    cfg.paths.train_list = str(corpus / "train.txt")
-    cfg.paths.features_dir = str(corpus / "feats")
+    cfg.network.attention_variant = args.variant
+    cfg.network.aggregation = args.aggregation
+    cfg.train.epochs = args.epochs
+    cfg.train_list = str(corpus / "train.txt")
+    cfg.features_dir = str(corpus / "feats")
     work.mkdir(parents=True, exist_ok=True)
     cfg_path = work / "run.cfg"
     cfg_path.write_text(cfgmod.serialize_config(cfg))

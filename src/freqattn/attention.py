@@ -35,6 +35,26 @@ AGGREGATIONS = ("avg", "max", "avg_max")
 GAP_INDICES = (dct.FrequencyIndex(0, 0),)
 
 
+def check_block(variant: str, channels: int, reduction: int, k: Optional[int],
+                aggregation: str) -> None:
+    """Raise ConfigError unless these settings make a block; se ignores k."""
+    if variant not in VARIANTS:
+        raise ConfigError(f"unknown attention variant {variant!r}")
+    if aggregation not in AGGREGATIONS:
+        raise ConfigError(f"unknown aggregation {aggregation!r}")
+    if channels < 1 or reduction < 1:
+        raise ConfigError(f"channels and reduction must be >= 1, got {channels} "
+                          f"and {reduction}")
+    if channels // reduction < 1:
+        raise ConfigError(
+            f"reduction {reduction} leaves no bottleneck units for {channels} channels")
+    if variant != "se" and (k is None or k < 1):
+        raise ConfigError(f"{variant} needs k >= 1 frequency components, got {k}")
+    if variant == "sfsc" and channels % k != 0:
+        raise ConfigError(
+            f"sfsc requires channels divisible by k (got C={channels}, k={k})")
+
+
 class AttentionBlock:
     """Parameterized SE / SFSC / MFSC unit over C-channel feature maps.
 
@@ -47,33 +67,17 @@ class AttentionBlock:
     def __init__(self, variant: str, channels: int, reduction: int = 8,
                  k: Optional[int] = None, indices=None, aggregation: str = "avg",
                  rng=None):
-        if variant not in VARIANTS:
-            raise ConfigError(f"unknown attention variant {variant!r}")
-        if channels < 1 or reduction < 1:
-            raise ConfigError("channels and reduction must be positive")
-        hidden = channels // reduction
-        if hidden < 1:
-            raise ConfigError(
-                f"reduction {reduction} leaves no bottleneck units for {channels} channels")
-
         if indices is not None:
             indices = tuple(dct.FrequencyIndex(int(f), int(t)) for f, t in indices)
             if k is not None and k != len(indices):
                 raise ConfigError(f"k={k} disagrees with {len(indices)} explicit indices")
             k = len(indices)
-
+        check_block(variant, channels, reduction, k, aggregation)
         if variant == "se":
             if indices:
                 raise ConfigError("se takes no frequency indices")
             k, indices, aggregation = 1, GAP_INDICES, "avg"
-        else:
-            if k is None or k < 1:
-                raise ConfigError(f"{variant} needs k >= 1 frequency components")
-            if variant == "sfsc" and channels % k != 0:
-                raise ConfigError(
-                    f"sfsc requires channels divisible by k (got C={channels}, k={k})")
-            if variant == "mfsc" and aggregation not in AGGREGATIONS:
-                raise ConfigError(f"unknown aggregation {aggregation!r}")
+        hidden = channels // reduction
 
         self.variant = variant
         self.channels = channels

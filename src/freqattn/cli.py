@@ -19,8 +19,8 @@ from . import dct
 from . import features as feats
 from . import metrics as mt
 from . import speakernet as sn
-from .errors import (CapacityError, ConfigError, DimensionError, FormatError, NumericError,
-                     ParseError)
+from .errors import (ConfigError, DimensionError, FormatError, NumericError, ParseError,
+                     naming)
 
 _KNOWN_ERRORS = (ConfigError, DimensionError, FormatError, NumericError,
                  ParseError, FileNotFoundError, IndexError, ValueError)
@@ -39,7 +39,6 @@ def cmd_verify_dct(args) -> int:
 def cmd_extract(args) -> int:
     cfg = cfgmod.load_config(args.config, env=os.environ) if args.config \
         else cfgmod.RunConfig()
-    mel_cfg = cfgmod.to_mel_config(cfg)
     in_dir = Path(args.in_dir)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -50,8 +49,8 @@ def cmd_extract(args) -> int:
     failures = 0
     for wav in wavs:
         try:
-            fm = feats.logmel(feats.read_wav(wav), mel_cfg)
-            if cfg.features.mvn:
+            fm = feats.logmel(feats.read_wav(wav), cfg.mel)
+            if cfg.mvn:
                 fm = feats.mvn(fm)
             feats.write_feat(out_dir / (wav.stem + ".feat"), fm)
         except _KNOWN_ERRORS as exc:
@@ -62,7 +61,7 @@ def cmd_extract(args) -> int:
 
 
 def _load_train_examples(cfg):
-    list_path = Path(cfg.paths.train_list)
+    list_path = Path(cfg.train_list)
     base = list_path.parent
     labels = []
     files = []
@@ -86,10 +85,22 @@ def _load_train_examples(cfg):
     return examples, speakers
 
 
+def _build_model(cfg):
+    """Network and AAM head drawn from one rng seeded by cfg.seed; returns the rng too."""
+    rng = np.random.default_rng(cfg.seed)
+    net = sn.SpeakerNet(cfg.network, rng)
+    head = sn.AamHead(cfg.network.num_speakers, cfg.network.embedding_dim,
+                      margin=cfg.margin, scale=cfg.scale, rng=rng)
+    return net, head, rng
+
+
 def cmd_train(args) -> int:
     cfg = cfgmod.load_config(args.config, env=os.environ)
-    cfgmod.validate_config(cfg, check_paths=True)
-    if not cfg.paths.train_list:
+    for name in ("train_list", "features_dir"):
+        value = getattr(cfg, name)
+        if value and not Path(value).exists():
+            raise ConfigError(f"paths.{name} does not exist: {value}")
+    if not cfg.train_list:
         raise ConfigError("paths.train_list is required for training")
     examples, speakers = _load_train_examples(cfg)
     if cfg.network.num_speakers == 0:
@@ -99,14 +110,10 @@ def cmd_train(args) -> int:
             f"config says {cfg.network.num_speakers} speakers, "
             f"training list has {len(speakers)}")
 
-    rng = np.random.default_rng(cfg.seed)
-    net = sn.SpeakerNet(cfgmod.to_network_config(cfg), rng)
-    head = sn.AamHead(cfg.network.num_speakers, cfg.network.embedding_dim,
-                      margin=cfg.loss.margin, scale=cfg.loss.scale, rng=rng)
-    opts = cfgmod.to_train_options(cfg)
+    net, head, rng = _build_model(cfg)
     print(f"seed={cfg.seed} speakers={len(speakers)} examples={len(examples)} "
-          f"variant={cfg.attention.variant}")
-    sn.train(net, head, examples, opts, rng=rng, log=print)
+          f"variant={cfg.network.attention_variant}")
+    sn.train(net, head, examples, cfg.train, rng=rng, log=print)
     sn.save_checkpoint(args.out, cfgmod.serialize_config(cfg),
                        net.parameters() + head.parameters())
     print(f"checkpoint={args.out}")
@@ -115,15 +122,10 @@ def cmd_train(args) -> int:
 
 def _load_model(checkpoint_path):
     cfg_text, entries = sn.load_checkpoint(checkpoint_path)
-    cfg = cfgmod.parse_config(cfg_text)
-    rng = np.random.default_rng(cfg.seed)
-    net = sn.SpeakerNet(cfgmod.to_network_config(cfg), rng)
-    head = sn.AamHead(cfg.network.num_speakers, cfg.network.embedding_dim,
-                      margin=cfg.loss.margin, scale=cfg.loss.scale, rng=rng)
-    try:
+    with naming(checkpoint_path):
+        cfg = cfgmod.parse_config(cfg_text)
+        net, head, _ = _build_model(cfg)
         sn.restore_parameters(net.parameters() + head.parameters(), entries)
-    except FormatError as exc:
-        raise FormatError(f"{checkpoint_path}: {exc}") from None
     return cfg, net
 
 
@@ -140,7 +142,8 @@ def _feature_path(features_dir: Path, trial_id: str) -> Path:
 
 def cmd_score(args) -> int:
     _, net = _load_model(args.checkpoint)
-    trials = mt.parse_trials(Path(args.trials).read_text())
+    with naming(args.trials):
+        trials = mt.parse_trials(Path(args.trials).read_text())
     if not trials:
         raise ConfigError(f"{args.trials}: empty trial list")
     features_dir = Path(args.features)
@@ -150,10 +153,12 @@ def cmd_score(args) -> int:
             if tid not in embeddings:
                 path = _feature_path(features_dir, tid)
                 fm = feats.read_feat(path)
-                try:
-                    embeddings[tid] = sn.forward_embed(net, fm.values[None, :, :])
-                except CapacityError as exc:
-                    raise CapacityError(f"{path}: {exc}") from None
+                # a non-finite embedding is reported below, not warned about
+                with naming(path), np.errstate(over="ignore", invalid="ignore"):
+                    emb = sn.forward_embed(net, fm.values[None, :, :])
+                    if not np.all(np.isfinite(emb)):
+                        raise NumericError("non-finite embedding")
+                embeddings[tid] = emb
     for trial in trials:
         trial.score = mt.cosine_score(embeddings[trial.enroll], embeddings[trial.test])
     Path(args.out).write_text(mt.format_scores(trials))
@@ -162,8 +167,9 @@ def cmd_score(args) -> int:
 
 
 def cmd_metrics(args) -> int:
-    trials = mt.parse_scores(Path(args.scores).read_text())
-    result = mt.evaluate_trials(trials, p_target=0.05)
+    with naming(args.scores):
+        trials = mt.parse_scores(Path(args.scores).read_text())
+        result = mt.evaluate_trials(trials, p_target=0.05)
     print(f"EER={result.eer * 100.0:.6f} minDCF={result.min_dcf:.6f}")
     return 0
 

@@ -1,84 +1,80 @@
-"""Run configuration: dataclass sections and the flat key=value text format.
+"""Run configuration: the runtime config objects and their flat key=value text.
 
 The on-disk form is one dotted key per line (``attention.variant = mfsc``),
 serialized in sorted key order so a parse/serialize round trip is canonical.
 Conv stages encode as ``channels:kernel:stride`` triples joined by commas.
+Each key names one field of a runtime object (``_KEYS``); parsing builds
+those objects, so every value is range-checked by its owner when the text
+is read.
 """
 
 from __future__ import annotations
 
-import dataclasses
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from . import attention
-from .errors import ConfigError, ParseError
+from .errors import ConfigError, ParseError, naming
 from .features import MelConfig
 from .speakernet import NetworkConfig, TrainOptions
 
 
 @dataclass
-class FeatureSection:
-    sample_rate: int = 16000
-    n_mels: int = 64
-    frame_len_ms: float = 25.0
-    frame_shift_ms: float = 10.0
-    n_fft: int = 512
-    fmin: float = 0.0
-    fmax: float = 0.0
-    log_floor: float = 1e-10
-    crop_seconds: float = 2.0
+class RunConfig:
+    seed: int = 7
+    mel: MelConfig = field(default_factory=MelConfig)
+    network: NetworkConfig = field(default_factory=NetworkConfig)
+    train: TrainOptions = field(default_factory=TrainOptions)
     mvn: bool = True
-    specaug: bool = False
-
-
-@dataclass
-class NetworkSection:
-    in_channels: int = 1
-    stages: tuple = ((16, 3, 2), (32, 3, 2), (64, 3, 2))
-    embedding_dim: int = 64
-    num_speakers: int = 0
-
-
-@dataclass
-class AttentionSection:
-    variant: str = "se"
-    k: tuple = (4, 8, 16)
-    aggregation: str = "avg"
-    reduction: int = 8
-
-
-@dataclass
-class LossSection:
     margin: float = 0.2
     scale: float = 30.0
-
-
-@dataclass
-class OptimizerSection:
-    lr: float = 1e-3
-    epochs: int = 30
-    batch: int = 8
-
-
-@dataclass
-class PathsSection:
     train_list: str = ""
     features_dir: str = ""
 
-
-@dataclass
-class RunConfig:
-    seed: int = 7
-    features: FeatureSection = field(default_factory=FeatureSection)
-    network: NetworkSection = field(default_factory=NetworkSection)
-    attention: AttentionSection = field(default_factory=AttentionSection)
-    loss: LossSection = field(default_factory=LossSection)
-    optimizer: OptimizerSection = field(default_factory=OptimizerSection)
-    paths: PathsSection = field(default_factory=PathsSection)
+    def __post_init__(self):
+        if not (self.margin >= 0.0 and self.scale > 0.0):
+            raise ConfigError(f"margin must be >= 0 and scale > 0, got "
+                              f"{self.margin} and {self.scale}")
 
 
-_SECTIONS = ("features", "network", "attention", "loss", "optimizer", "paths")
+# on-disk key -> (RunConfig attribute holding the field, or None for RunConfig
+# itself; field name)
+_KEYS = {
+    "seed": (None, "seed"),
+    "features.sample_rate": ("mel", "sample_rate"),
+    "features.n_mels": ("mel", "n_mels"),
+    "features.frame_len_ms": ("mel", "frame_len_ms"),
+    "features.frame_shift_ms": ("mel", "frame_shift_ms"),
+    "features.n_fft": ("mel", "n_fft"),
+    "features.fmin": ("mel", "fmin"),
+    "features.fmax": ("mel", "fmax"),
+    "features.log_floor": ("mel", "log_floor"),
+    "features.crop_seconds": ("train", "crop_seconds"),
+    "features.mvn": (None, "mvn"),
+    "features.specaug": ("train", "augment"),
+    "network.in_channels": ("network", "in_channels"),
+    "network.stages": ("network", "stages"),
+    "network.embedding_dim": ("network", "embedding_dim"),
+    "network.num_speakers": ("network", "num_speakers"),
+    "attention.variant": ("network", "attention_variant"),
+    "attention.k": ("network", "attention_k"),
+    "attention.aggregation": ("network", "aggregation"),
+    "attention.reduction": ("network", "reduction"),
+    "loss.margin": (None, "margin"),
+    "loss.scale": (None, "scale"),
+    "optimizer.lr": ("train", "lr"),
+    "optimizer.epochs": ("train", "epochs"),
+    "optimizer.batch": ("train", "batch_size"),
+    "paths.train_list": (None, "train_list"),
+    "paths.features_dir": (None, "features_dir"),
+}
+
+_DEFAULTS = RunConfig()   # read only: the type of each key's value
+
+
+def _field_value(cfg: RunConfig, key: str):
+    owner, name = _KEYS[key]
+    return getattr(cfg if owner is None else getattr(cfg, owner), name)
 
 
 def _format_value(key, value):
@@ -109,30 +105,22 @@ def _parse_value(key, text, target_type):
             if text not in ("true", "false"):
                 raise ValueError(f"expected true/false, got {text!r}")
             return text == "true"
-        if target_type is int:
-            return int(text)
-        if target_type is float:
-            return float(text)
-        return text
+        if target_type is float and not math.isfinite(float(text)):
+            raise ValueError("not a finite number")
+        return target_type(text)   # int, float or str
     except ValueError as exc:
         raise ParseError(f"bad value for {key}: {text!r} ({exc})") from exc
 
 
 def serialize_config(cfg: RunConfig) -> str:
-    items = {"seed": str(cfg.seed)}
-    for section in _SECTIONS:
-        obj = getattr(cfg, section)
-        for f in dataclasses.fields(obj):
-            key = f"{section}.{f.name}"
-            items[key] = _format_value(key, getattr(obj, f.name))
-    return "".join(f"{k} = {items[k]}\n" for k in sorted(items))
+    return "".join(f"{key} = {_format_value(key, _field_value(cfg, key))}\n"
+                   for key in sorted(_KEYS))
 
 
 def parse_config(text: str) -> RunConfig:
-    cfg = RunConfig()
-    field_types = {
-        section: {f.name: f.type for f in dataclasses.fields(getattr(cfg, section))}
-        for section in _SECTIONS}
+    """Parse config text; keys left out keep their defaults. The runtime
+    objects are built, and range-check themselves, once every line is read."""
+    values = {None: {}, "mel": {}, "network": {}, "train": {}}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -141,26 +129,27 @@ def parse_config(text: str) -> RunConfig:
             raise ParseError(f"line {lineno}: expected 'key = value'")
         key, _, value = stripped.partition("=")
         key = key.strip()
-        value = value.strip()
-        if key == "seed":
-            cfg.seed = _parse_value(key, value, int)
-            continue
-        section, _, name = key.partition(".")
-        if section not in _SECTIONS or name not in field_types.get(section, {}):
+        if key not in _KEYS:
             raise ParseError(f"line {lineno}: unknown key {key!r}")
-        tname = field_types[section][name]
-        target = {"int": int, "float": float, "bool": bool, "str": str,
-                  "tuple": tuple}[tname if isinstance(tname, str) else tname.__name__]
+        owner, name = _KEYS[key]
+        target = type(_field_value(_DEFAULTS, key))
         try:
-            setattr(getattr(cfg, section), name, _parse_value(key, value, target))
+            values[owner][name] = _parse_value(key, value.strip(), target)
         except ParseError as exc:
             raise ParseError(f"line {lineno}: {exc}") from exc
-    return cfg
+    mel = MelConfig(**values["mel"])
+    return RunConfig(
+        mel=mel, network=NetworkConfig(**values["network"]),
+        train=TrainOptions(frames_per_second=1000.0 / mel.frame_shift_ms,
+                           **values["train"]),
+        **values[None])
 
 
 def load_config(path, env=None) -> RunConfig:
-    """Read a config file; FREQATTN_SEED in the environment overrides the seed."""
-    cfg = parse_config(Path(path).read_text())
+    """Read a config file, naming it in any parse or range error;
+    FREQATTN_SEED in the environment overrides the seed."""
+    with naming(path):
+        cfg = parse_config(Path(path).read_text())
     if env is not None and "FREQATTN_SEED" in env:
         try:
             cfg.seed = int(env["FREQATTN_SEED"])
@@ -168,47 +157,3 @@ def load_config(path, env=None) -> RunConfig:
             raise ConfigError(f"FREQATTN_SEED must be an integer: "
                               f"{env['FREQATTN_SEED']!r}") from exc
     return cfg
-
-
-def validate_config(cfg: RunConfig, check_paths: bool = False) -> None:
-    if cfg.attention.variant not in attention.VARIANTS:
-        raise ConfigError(f"unknown attention variant {cfg.attention.variant!r}")
-    if cfg.attention.aggregation not in attention.AGGREGATIONS:
-        raise ConfigError(f"unknown aggregation {cfg.attention.aggregation!r}")
-    to_network_config(cfg)   # re-checks SFSC divisibility and stage/k agreement
-    if cfg.loss.margin < 0 or cfg.loss.scale <= 0:
-        raise ConfigError("loss.margin must be >= 0 and loss.scale > 0")
-    if cfg.optimizer.epochs < 1 or cfg.optimizer.batch < 1:
-        raise ConfigError("optimizer.epochs and optimizer.batch must be >= 1")
-    if check_paths:
-        for name in ("train_list", "features_dir"):
-            value = getattr(cfg.paths, name)
-            if value and not Path(value).exists():
-                raise ConfigError(f"paths.{name} does not exist: {value}")
-
-
-def to_mel_config(cfg: RunConfig) -> MelConfig:
-    f = cfg.features
-    return MelConfig(sample_rate=f.sample_rate, n_mels=f.n_mels,
-                     frame_len_ms=f.frame_len_ms, frame_shift_ms=f.frame_shift_ms,
-                     n_fft=f.n_fft, fmin=f.fmin, fmax=f.fmax,
-                     log_floor=f.log_floor)
-
-
-def to_network_config(cfg: RunConfig) -> NetworkConfig:
-    return NetworkConfig(in_channels=cfg.network.in_channels,
-                         stages=cfg.network.stages,
-                         embedding_dim=cfg.network.embedding_dim,
-                         num_speakers=cfg.network.num_speakers,
-                         attention_variant=cfg.attention.variant,
-                         attention_k=cfg.attention.k,
-                         aggregation=cfg.attention.aggregation,
-                         reduction=cfg.attention.reduction)
-
-
-def to_train_options(cfg: RunConfig) -> TrainOptions:
-    return TrainOptions(lr=cfg.optimizer.lr, epochs=cfg.optimizer.epochs,
-                        batch_size=cfg.optimizer.batch,
-                        crop_seconds=cfg.features.crop_seconds,
-                        frames_per_second=1000.0 / cfg.features.frame_shift_ms,
-                        augment=cfg.features.specaug)

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and `naming`, which puts the path
+of the input file being read in front of one."""
+
+import contextlib
 
 
 class DimensionError(ValueError):
@@ -23,3 +26,15 @@ class ParseError(ValueError):
 
 class NumericError(ArithmeticError):
     """A computation produced or received non-finite values."""
+
+
+@contextlib.contextmanager
+def naming(path):
+    """Put the path of the input file being read in front of an error it caused."""
+    try:
+        yield
+    except (CapacityError, ConfigError, DimensionError, FormatError, NumericError,
+            ParseError) as exc:
+        raise type(exc)(f"{path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text ({exc})") from None

@@ -37,17 +37,25 @@ class MelConfig:
     frame_shift_ms: float = 10.0
     n_fft: int = 512
     fmin: float = 0.0
-    fmax: float = 0.0            # 0 -> Nyquist
+    fmax: float = 0.0            # <= 0 -> Nyquist, see fmax_hz
     log_floor: float = 1e-10
 
     def __post_init__(self):
-        if self.fmax <= 0.0:
-            self.fmax = self.sample_rate / 2.0
+        if self.n_mels < 1:
+            raise ConfigError(f"n_mels must be >= 1, got {self.n_mels}")
+        if self.shift_samples < 1:
+            raise ConfigError(f"frame_shift_ms={self.frame_shift_ms} is shorter than "
+                              f"one sample at {self.sample_rate} Hz")
         if self.frame_len_ms < self.frame_shift_ms:
             raise ConfigError("frame length must be >= frame shift")
         if self.n_fft < self.frame_samples:
             raise ConfigError(
                 f"n_fft={self.n_fft} smaller than frame of {self.frame_samples} samples")
+        if not 0.0 <= self.fmin < self.fmax_hz:
+            raise ConfigError(f"fmin={self.fmin} must be >= 0 and below "
+                              f"fmax={self.fmax_hz} Hz")
+        if not self.log_floor > 0.0:
+            raise ConfigError(f"log_floor must be > 0, got {self.log_floor}")
 
     @property
     def frame_samples(self) -> int:
@@ -58,8 +66,8 @@ class MelConfig:
         return int(round(self.sample_rate * self.frame_shift_ms / 1000.0))
 
     @property
-    def frames_per_second(self) -> float:
-        return 1000.0 / self.frame_shift_ms
+    def fmax_hz(self) -> float:
+        return self.fmax if self.fmax > 0.0 else self.sample_rate / 2.0
 
 
 @dataclass
@@ -150,13 +158,13 @@ def mel_to_hz(m):
 
 
 def mel_filter_centers(cfg: MelConfig) -> np.ndarray:
-    pts = np.linspace(hz_to_mel(cfg.fmin), hz_to_mel(cfg.fmax), cfg.n_mels + 2)
+    pts = np.linspace(hz_to_mel(cfg.fmin), hz_to_mel(cfg.fmax_hz), cfg.n_mels + 2)
     return mel_to_hz(pts)[1:-1]
 
 
 def mel_filterbank(cfg: MelConfig) -> np.ndarray:
     """Triangular filters on FFT bin frequencies, (n_mels, n_fft//2 + 1)."""
-    pts = mel_to_hz(np.linspace(hz_to_mel(cfg.fmin), hz_to_mel(cfg.fmax),
+    pts = mel_to_hz(np.linspace(hz_to_mel(cfg.fmin), hz_to_mel(cfg.fmax_hz),
                                 cfg.n_mels + 2))
     bin_hz = np.arange(cfg.n_fft // 2 + 1) * cfg.sample_rate / cfg.n_fft
     lower, center, upper = pts[:-2, None], pts[1:-1, None], pts[2:, None]

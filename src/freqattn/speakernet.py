@@ -38,18 +38,19 @@ class NetworkConfig:
     reduction: int = 8
 
     def __post_init__(self):
-        if self.attention_variant not in attention.VARIANTS:
-            raise ConfigError(f"unknown attention variant {self.attention_variant!r}")
+        if self.in_channels < 1 or self.embedding_dim < 1:
+            raise ConfigError(f"in_channels and embedding_dim must be >= 1, got "
+                              f"{self.in_channels} and {self.embedding_dim}")
         if len(self.attention_k) != len(self.stages):
             raise ConfigError(
                 f"attention_k has {len(self.attention_k)} entries for "
                 f"{len(self.stages)} stages")
-        if self.attention_variant == "sfsc":
-            for (c_out, _, _), k in zip(self.stages, self.attention_k):
-                if c_out % k != 0:
-                    raise ConfigError(
-                        f"sfsc requires stage channels divisible by k "
-                        f"(got C={c_out}, k={k})")
+        for i, ((c_out, kernel, stride), k) in enumerate(zip(self.stages, self.attention_k)):
+            if min(c_out, kernel, stride) < 1:
+                raise ConfigError(f"stages[{i}] = {c_out}:{kernel}:{stride}: channels, "
+                                  f"kernel and stride must be >= 1")
+            attention.check_block(self.attention_variant, c_out, self.reduction, k,
+                                  self.aggregation)
 
 
 @dataclass
@@ -301,6 +302,16 @@ class TrainOptions:
     frames_per_second: float = 100.0
     augment: bool = False
 
+    def __post_init__(self):
+        if self.epochs < 1 or self.batch_size < 1:
+            raise ConfigError(f"epochs and batch_size must be >= 1, got "
+                              f"{self.epochs} and {self.batch_size}")
+        if not self.lr >= 0.0:
+            raise ConfigError(f"lr must be >= 0, got {self.lr}")
+        if not 0.5 < self.crop_seconds * self.frames_per_second < math.inf:
+            raise ConfigError(f"crop_seconds={self.crop_seconds} must give a finite crop "
+                              f"of >= 1 frame at {self.frames_per_second} frames/s")
+
 
 @dataclass
 class EpochMetrics:
@@ -393,17 +404,25 @@ def load_checkpoint(path):
     def u32s(count, what):
         return struct.unpack(f"<{count}I", take(4 * count, what))
 
+    def text(size, what):
+        start = pos
+        try:
+            return take(size, what).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: {what} at byte offset {start} is not UTF-8 "
+                              f"({exc.reason} at byte {start + exc.start})") from None
+
     if take(4, "magic") != CKPT_MAGIC:
         raise FormatError(f"{path}: not a checkpoint file (bad magic)")
     (version,) = u32s(1, "version")
     if version != CKPT_VERSION:
         raise FormatError(f"{path}: unsupported checkpoint version {version}")
     (cfg_len,) = u32s(1, "config length")
-    config_text = take(cfg_len, "config text").decode("utf-8")
+    config_text = text(cfg_len, "config text")
     entries = []
     while pos < len(raw):
         (name_len,) = u32s(1, "name length")
-        name = take(name_len, "parameter name").decode("utf-8")
+        name = text(name_len, "parameter name")
         (rank,) = u32s(1, f"rank of {name}")
         dims = u32s(rank, f"shape of {name}")
         values = np.frombuffer(take(8 * math.prod(dims), f"values of {name}"), dtype="<f8")

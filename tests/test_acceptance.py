@@ -281,11 +281,11 @@ def toy_corpus(tmp_path_factory):
 def _toy_config(variant, aggregation, corpus, epochs=30):
     cfg = cfgmod.RunConfig()
     cfg.seed = 7
-    cfg.attention.variant = variant
-    cfg.attention.aggregation = aggregation
-    cfg.optimizer.epochs = epochs
-    cfg.paths.train_list = str(corpus / "train.txt")
-    cfg.paths.features_dir = str(corpus / "feats")
+    cfg.network.attention_variant = variant
+    cfg.network.aggregation = aggregation
+    cfg.train.epochs = epochs
+    cfg.train_list = str(corpus / "train.txt")
+    cfg.features_dir = str(corpus / "feats")
     return cfg
 
 

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,26 +13,61 @@ from freqattn import speakernet as sn
 from freqattn.errors import ParseError
 
 
-def tiny_run_config(**overrides):
+def tiny_run_config():
     cfg = cfgmod.RunConfig()
     cfg.seed = 7
     cfg.network.stages = ((8, 3, 2), (16, 3, 2))
     cfg.network.embedding_dim = 16
-    cfg.attention.variant = "mfsc"
-    cfg.attention.k = (2, 4)
-    cfg.attention.aggregation = "avg_max"
-    cfg.attention.reduction = 4
-    cfg.optimizer.epochs = 2
-    for key, value in overrides.items():
-        section, _, name = key.partition(".")
-        if name:
-            setattr(getattr(cfg, section), name, value)
-        else:
-            setattr(cfg, section, value)
+    cfg.network.attention_variant = "mfsc"
+    cfg.network.attention_k = (2, 4)
+    cfg.network.aggregation = "avg_max"
+    cfg.network.reduction = 4
+    cfg.train.epochs = 2
     return cfg
 
 
+def config_lines(*lines):
+    return "".join(line + "\n" for line in lines)
+
+
+# The on-disk config format, pinned: every FAMC checkpoint embeds this text.
+DEFAULT_CONFIG_TEXT = config_lines(
+    "attention.aggregation = avg",
+    "attention.k = 4,8,16",
+    "attention.reduction = 8",
+    "attention.variant = se",
+    "features.crop_seconds = 2.0",
+    "features.fmax = 0.0",
+    "features.fmin = 0.0",
+    "features.frame_len_ms = 25.0",
+    "features.frame_shift_ms = 10.0",
+    "features.log_floor = 1e-10",
+    "features.mvn = true",
+    "features.n_fft = 512",
+    "features.n_mels = 64",
+    "features.sample_rate = 16000",
+    "features.specaug = false",
+    "loss.margin = 0.2",
+    "loss.scale = 30.0",
+    "network.embedding_dim = 64",
+    "network.in_channels = 1",
+    "network.num_speakers = 0",
+    "network.stages = 16:3:2,32:3:2,64:3:2",
+    "optimizer.batch = 8",
+    "optimizer.epochs = 30",
+    "optimizer.lr = 0.001",
+    "paths.features_dir = ",
+    "paths.train_list = ",
+    "seed = 7",
+)
+
+
 class TestConfigFormat:
+    def test_default_text_is_pinned(self):
+        assert cfgmod.serialize_config(cfgmod.RunConfig()) == DEFAULT_CONFIG_TEXT
+        assert DEFAULT_CONFIG_TEXT.count("\n") == 27
+        assert cfgmod.parse_config(DEFAULT_CONFIG_TEXT) == cfgmod.RunConfig()
+
     def test_round_trip_identity(self):
         cfg = tiny_run_config()
         text = cfgmod.serialize_config(cfg)
@@ -181,8 +217,8 @@ def synth_dir(tmp_path_factory):
 def trained_checkpoint(synth_dir, tmp_path_factory):
     work = tmp_path_factory.mktemp("train")
     cfg = tiny_run_config()
-    cfg.paths.train_list = str(synth_dir / "train.txt")
-    cfg.paths.features_dir = str(synth_dir / "feats")
+    cfg.train_list = str(synth_dir / "train.txt")
+    cfg.features_dir = str(synth_dir / "feats")
     cfg_path = work / "run.cfg"
     cfg_path.write_text(cfgmod.serialize_config(cfg))
     ckpt = work / "model.ckpt"
@@ -196,10 +232,43 @@ class TestTrain:
         _, ckpt = trained_checkpoint
         assert ckpt.read_bytes()[:4] == b"FAMC"
 
+    def test_embedded_config_text_is_pinned(self, synth_dir, trained_checkpoint):
+        _, ckpt = trained_checkpoint
+        text, _ = sn.load_checkpoint(ckpt)
+        assert text == config_lines(
+            "attention.aggregation = avg_max",
+            "attention.k = 2,4",
+            "attention.reduction = 4",
+            "attention.variant = mfsc",
+            "features.crop_seconds = 2.0",
+            "features.fmax = 0.0",
+            "features.fmin = 0.0",
+            "features.frame_len_ms = 25.0",
+            "features.frame_shift_ms = 10.0",
+            "features.log_floor = 1e-10",
+            "features.mvn = true",
+            "features.n_fft = 512",
+            "features.n_mels = 64",
+            "features.sample_rate = 16000",
+            "features.specaug = false",
+            "loss.margin = 0.2",
+            "loss.scale = 30.0",
+            "network.embedding_dim = 16",
+            "network.in_channels = 1",
+            "network.num_speakers = 4",
+            "network.stages = 8:3:2,16:3:2",
+            "optimizer.batch = 8",
+            "optimizer.epochs = 2",
+            "optimizer.lr = 0.001",
+            f"paths.features_dir = {synth_dir / 'feats'}",
+            f"paths.train_list = {synth_dir / 'train.txt'}",
+            "seed = 7",
+        )
+
     def test_epoch_lines_logged(self, synth_dir, tmp_path, capsys):
         cfg = tiny_run_config()
-        cfg.optimizer.epochs = 1
-        cfg.paths.train_list = str(synth_dir / "train.txt")
+        cfg.train.epochs = 1
+        cfg.train_list = str(synth_dir / "train.txt")
         cfg_path = tmp_path / "run.cfg"
         cfg_path.write_text(cfgmod.serialize_config(cfg))
         rc = cli.main(["train", "--config", str(cfg_path),
@@ -210,8 +279,8 @@ class TestTrain:
 
     def test_same_config_twice_identical_checkpoints(self, synth_dir, tmp_path, capsys):
         cfg = tiny_run_config()
-        cfg.optimizer.epochs = 1
-        cfg.paths.train_list = str(synth_dir / "train.txt")
+        cfg.train.epochs = 1
+        cfg.train_list = str(synth_dir / "train.txt")
         cfg_path = tmp_path / "run.cfg"
         cfg_path.write_text(cfgmod.serialize_config(cfg))
         c1, c2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
@@ -222,9 +291,9 @@ class TestTrain:
     def test_sfsc_divisibility_rejected_before_training(self, synth_dir, tmp_path,
                                                         capsys):
         cfg = tiny_run_config()
-        cfg.attention.variant = "sfsc"
-        cfg.attention.k = (3, 4)      # 8 % 3 != 0
-        cfg.paths.train_list = str(synth_dir / "train.txt")
+        cfg.network.attention_variant = "sfsc"
+        cfg.network.attention_k = (3, 4)      # 8 % 3 != 0
+        cfg.train_list = str(synth_dir / "train.txt")
         cfg_path = tmp_path / "bad.cfg"
         cfg_path.write_text(cfgmod.serialize_config(cfg))
         rc = cli.main(["train", "--config", str(cfg_path),
@@ -236,7 +305,7 @@ class TestTrain:
 
     def test_missing_train_list_rejected(self, tmp_path, capsys):
         cfg = tiny_run_config()
-        cfg.paths.train_list = str(tmp_path / "absent.txt")
+        cfg.train_list = str(tmp_path / "absent.txt")
         cfg_path = tmp_path / "run.cfg"
         cfg_path.write_text(cfgmod.serialize_config(cfg))
         rc = cli.main(["train", "--config", str(cfg_path),
@@ -261,7 +330,7 @@ class TestTrain:
             feats.write_feat(bad, fm)
         (tmp_path / "train.txt").write_text("\n".join(lines) + "\n")
         cfg = tiny_run_config()
-        cfg.paths.train_list = str(tmp_path / "train.txt")
+        cfg.train_list = str(tmp_path / "train.txt")
         cfg_path = tmp_path / "run.cfg"
         cfg_path.write_text(cfgmod.serialize_config(cfg))
         rc = cli.main(["train", "--config", str(cfg_path),
@@ -274,8 +343,8 @@ class TestTrain:
     def test_env_seed_override_reaches_training(self, synth_dir, tmp_path,
                                                 capsys, monkeypatch):
         cfg = tiny_run_config()
-        cfg.optimizer.epochs = 1
-        cfg.paths.train_list = str(synth_dir / "train.txt")
+        cfg.train.epochs = 1
+        cfg.train_list = str(synth_dir / "train.txt")
         cfg_path = tmp_path / "run.cfg"
         cfg_path.write_text(cfgmod.serialize_config(cfg))
         monkeypatch.setenv("FREQATTN_SEED", "99")
@@ -314,6 +383,19 @@ class TestScoreAndMetrics:
                              "--out", str(out)]) == 0
         assert s1.read_bytes() == s2.read_bytes()
 
+    def test_bad_trial_line_names_trial_list(self, synth_dir, trained_checkpoint,
+                                             tmp_path, capsys):
+        _, ckpt = trained_checkpoint
+        trials = tmp_path / "trials.txt"
+        trials.write_text("1 spk000_utt004.feat spk000_utt005.feat\n1 ghost.feat\n")
+        rc = cli.main(["score", "--checkpoint", str(ckpt), "--trials", str(trials),
+                       "--features", str(synth_dir / "feats"),
+                       "--out", str(tmp_path / "s.txt")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {trials}: line 2: expected 3 fields, got 2\n")
+        assert not (tmp_path / "s.txt").exists()
+
     def test_unknown_trial_id_fails_with_name(self, synth_dir, trained_checkpoint,
                                               tmp_path, capsys):
         _, ckpt = trained_checkpoint
@@ -341,7 +423,19 @@ class TestScoreAndMetrics:
         assert cli.main(["metrics", "--scores", str(scores)]) == 1
         captured = capsys.readouterr()
         assert "EER=" not in captured.out
-        assert captured.err == "error: non-finite score nan for trial c d\n"
+        assert captured.err == f"error: {scores}: non-finite score nan for trial c d\n"
+
+    @pytest.mark.parametrize("content, message", [
+        (b"1 a b 0.900000\n1 c 0.800000\n", "line 2: expected 4 fields, got 3"),
+        (b"1 a b 0.900000\n1 c d 0.8\xff\n", "not UTF-8 text"),
+    ])
+    def test_metrics_bad_line_names_scores_file(self, tmp_path, capsys, content, message):
+        scores = tmp_path / "scores.txt"
+        scores.write_bytes(content)
+        assert cli.main(["metrics", "--scores", str(scores)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"error: {scores}: "), err
+        assert message in err
 
     def test_metrics_perfect_separation(self, tmp_path, capsys):
         scores = tmp_path / "scores.txt"
@@ -352,7 +446,7 @@ class TestScoreAndMetrics:
 
 
 def save_untrained_checkpoint(path, cfg):
-    net = sn.SpeakerNet(cfgmod.to_network_config(cfg))
+    net = sn.SpeakerNet(cfg.network)
     head = sn.AamHead(cfg.network.num_speakers, cfg.network.embedding_dim)
     sn.save_checkpoint(path, cfgmod.serialize_config(cfg),
                        net.parameters() + head.parameters())
@@ -369,8 +463,8 @@ class TestScoreRejectsBadInputs:
         cfg.network.stages = ((2, 3, 2),)
         cfg.network.embedding_dim = 2
         cfg.network.num_speakers = 2
-        cfg.attention.k = (2,)
-        cfg.attention.reduction = 2
+        cfg.network.attention_k = (2,)
+        cfg.network.reduction = 2
         cut = tmp_path / "cut.ckpt"
         save_untrained_checkpoint(cut, cfg)
         scores = tmp_path / "s.txt"
@@ -384,7 +478,7 @@ class TestScoreRejectsBadInputs:
 
     def test_short_utterance_error_names_feature_file(self, tmp_path, capsys):
         cfg = cfgmod.RunConfig()
-        cfg.attention.variant = "sfsc"
+        cfg.network.attention_variant = "sfsc"
         cfg.network.num_speakers = 2
         ckpt = tmp_path / "sfsc.ckpt"
         save_untrained_checkpoint(ckpt, cfg)
@@ -399,3 +493,109 @@ class TestScoreRejectsBadInputs:
         assert capsys.readouterr().err == (
             f"error: {tmp_path / 'short.feat'}: cannot select k=16 frequency "
             f"components from a 8x1 grid (8 available)\n")
+
+    @pytest.mark.parametrize("damage", ["parse", "range", "utf8"])
+    def test_bad_embedded_config_names_checkpoint(self, synth_dir, tmp_path, capsys,
+                                                  damage):
+        cfg = tiny_run_config()
+        cfg.network.num_speakers = 4
+        ckpt = tmp_path / "model.ckpt"
+        save_untrained_checkpoint(ckpt, cfg)
+        blob = bytearray(ckpt.read_bytes())
+        text = cfgmod.serialize_config(cfg).encode()
+        assert blob[12:12 + len(text)] == text      # after magic, version, length
+        if damage == "parse":
+            at = 12 + text.index(b"0.001")
+            blob[at:at + 5] = b"0.0x1"
+        elif damage == "range":
+            at = 12 + text.index(b"attention.reduction = 4")
+            blob[at + 22] = ord("0")
+        else:
+            blob[12] = 0xFF
+        ckpt.write_bytes(bytes(blob))
+        rc = self.score(ckpt, synth_dir / "trials.txt", synth_dir / "feats",
+                        tmp_path / "s.txt")
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.count("\n") == 1 and err.startswith(f"error: {ckpt}: "), err
+        assert {"parse": "line 24: bad value for optimizer.lr",
+                "range": "reduction must be >= 1",
+                "utf8": "not UTF-8"}[damage] in err
+        assert not (tmp_path / "s.txt").exists()
+
+    @pytest.mark.parametrize("damage", ["nan_weight", "scaled_1e300"])
+    def test_non_finite_embedding_names_feature_file(self, synth_dir, tmp_path,
+                                                     damage):
+        cfg = tiny_run_config()
+        cfg.network.num_speakers = 4
+        net = sn.SpeakerNet(cfg.network)
+        params = net.parameters() + sn.AamHead(4, 16).parameters()
+        if damage == "nan_weight":
+            params[0].value[0, 0, 1, 1] = np.nan
+        else:
+            for p in params:
+                p.value *= 1e300
+        ckpt = tmp_path / "model.ckpt"
+        sn.save_checkpoint(ckpt, cfgmod.serialize_config(cfg), params)
+        first = (synth_dir / "trials.txt").read_text().split()[1]
+        scores = tmp_path / "s.txt"
+        # a fresh interpreter: numpy's overflow warnings would reach stderr there
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(cli.__file__).parents[1])] + sys.path))
+        proc = subprocess.run(
+            [sys.executable, "-m", "freqattn", "score", "--checkpoint", str(ckpt),
+             "--trials", str(synth_dir / "trials.txt"),
+             "--features", str(synth_dir / "feats"), "--out", str(scores)],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == 1
+        assert proc.stderr == f"error: {synth_dir / 'feats' / first}: non-finite embedding\n"
+        assert not scores.exists()
+
+
+# one bad value (or pair) per case, and text the error must hold: the field
+# name, as the runtime object that owns the field reports it
+BAD_CONFIG_CASES = {
+    "frame_shift_zero": ({"features.frame_shift_ms": "0.0"}, "frame_shift_ms"),
+    "frame_shift_inf": ({"features.frame_shift_ms": "inf"},
+                        "bad value for features.frame_shift_ms: 'inf' (not a finite"),
+    "n_mels_zero": ({"features.n_mels": "0"}, "n_mels"),
+    "embedding_dim_zero": ({"network.embedding_dim": "0"}, "embedding_dim"),
+    "in_channels_zero": ({"network.in_channels": "0"}, "in_channels"),
+    "kernel_zero": ({"network.stages": "8:0:2,16:3:2"}, "stages[0] = 8:0:2"),
+    "stride_zero": ({"network.stages": "8:3:2,16:3:0"}, "stages[1] = 16:3:0"),
+    "sfsc_k_zero": ({"attention.variant": "sfsc", "attention.k": "0,4"},
+                    "sfsc needs k >= 1"),
+    "margin_negative": ({"loss.margin": "-0.1"}, "margin"),
+    "batch_zero": ({"optimizer.batch": "0"}, "batch_size"),
+    "crop_huge": ({"features.crop_seconds": "1e308"}, "crop_seconds"),
+}
+
+
+@pytest.mark.parametrize("command", ["train", "extract"])
+@pytest.mark.parametrize("case", sorted(BAD_CONFIG_CASES))
+def test_bad_config_value_is_one_named_error(synth_dir, tmp_path, capsys, command,
+                                             case):
+    changes, field = BAD_CONFIG_CASES[case]
+    cfg = tiny_run_config()
+    cfg.train_list = str(synth_dir / "train.txt")
+    lines = cfgmod.serialize_config(cfg).splitlines()
+    keys = [line.split(" = ")[0] for line in lines]
+    for key, value in changes.items():
+        lines[keys.index(key)] = f"{key} = {value}"
+    cfg_path = tmp_path / "bad.cfg"
+    cfg_path.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    if command == "train":
+        argv = ["train", "--config", str(cfg_path), "--out", str(out)]
+    else:
+        wav_dir = tmp_path / "wav"
+        wav_dir.mkdir()
+        feats.write_wav(wav_dir / "u0.wav", np.zeros(8000))
+        argv = ["extract", "--in", str(wav_dir), "--out", str(out), "--config",
+                str(cfg_path)]
+    rc = cli.main(argv)
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.count("\n") == 1 and err.startswith(f"error: {cfg_path}: "), err
+    assert field in err
+    assert not out.exists()
