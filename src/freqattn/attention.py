@@ -28,7 +28,7 @@ import numpy as np
 
 from . import dct
 from .errors import ConfigError, DimensionError
-from .tensor import Parameter, relu, sigmoid
+from .tensor import Parameter, relu, relu_backward, sigmoid, sigmoid_backward
 
 VARIANTS = ("se", "sfsc", "mfsc")
 AGGREGATIONS = ("avg", "max", "avg_max")
@@ -180,7 +180,7 @@ def attention_backward(block: AttentionBlock, state: AttentionState, dy: np.ndar
 
     dx = dy * s[:, None, None]
     ds = np.einsum("cft,cft->c", dy, x)
-    du = ds * s * (1.0 - s)
+    du = sigmoid_backward(s, ds)
 
     k = 1 if state.planes is None else len(state.planes)
     cols = np.arange(c)
@@ -190,7 +190,7 @@ def attention_backward(block: AttentionBlock, state: AttentionState, dy: np.ndar
     for rows, z, a, h in zip(state.reads, state.zs, state.pre, state.hid):
         dw2 += np.outer(du, h)
         dh = block.w2.value.T @ du
-        da = dh * (a > 0.0)
+        da = relu_backward(a, dh)
         dw1 += np.outer(da, z)
         dz = block.w1.value.T @ da
         if rows is None:

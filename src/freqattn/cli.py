@@ -27,7 +27,7 @@ _KNOWN_ERRORS = (ConfigError, DimensionError, FormatError, NumericError,
 
 
 def cmd_verify_dct(args) -> int:
-    results = dct.run_verification(perturb=args.perturb)
+    results = dct.run_verification()
     ok = True
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -49,9 +49,11 @@ def cmd_extract(args) -> int:
     failures = 0
     for wav in wavs:
         try:
-            fm = feats.logmel(feats.read_wav(wav), cfg.mel)
-            if cfg.mvn:
-                fm = feats.mvn(fm)
+            wave = feats.read_wav(wav)      # its errors already name the file
+            with naming(wav):
+                fm = feats.logmel(wave, cfg.mel)
+                if cfg.mvn:
+                    fm = feats.mvn(fm)
             feats.write_feat(out_dir / (wav.stem + ".feat"), fm)
         except _KNOWN_ERRORS as exc:
             print(f"error: {exc}", file=sys.stderr)
@@ -169,7 +171,7 @@ def cmd_score(args) -> int:
 def cmd_metrics(args) -> int:
     with naming(args.scores):
         trials = mt.parse_scores(Path(args.scores).read_text())
-        result = mt.evaluate_trials(trials, p_target=0.05)
+        result = mt.evaluate_trials(trials)
     print(f"EER={result.eer * 100.0:.6f} minDCF={result.min_dcf:.6f}")
     return 0
 
@@ -237,7 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify-dct", help="check DCT basis properties")
-    p.add_argument("--perturb", type=float, default=0.0, help=argparse.SUPPRESS)
     p.set_defaults(fn=cmd_verify_dct)
 
     p = sub.add_parser("extract", help="WAV directory -> FEAT directory")

@@ -150,48 +150,36 @@ class PropertyResult:
     detail: str
 
 
-def run_verification(max_grid: int = 8, n_random: int = 100, seed: int = 0,
-                     perturb: float = 0.0) -> list:
-    """Check the documented basis properties and report per-property results.
-
-    ``perturb`` is a test hook: a nonzero value is added to one basis plane
-    of the locally built copies, which must make the checks fail.
-    """
-    rng = np.random.default_rng(seed)
+def run_verification() -> list:
+    """Check the documented basis properties and report per-property results."""
+    rng = np.random.default_rng(0)
     results = []
-
-    def local_planes(f_dim, t_dim):
-        planes = _planes(f_dim, t_dim, list(np.ndindex(f_dim, t_dim)))
-        if perturb and planes.shape[0] > 1:
-            planes[1] = planes[1] + perturb
-        return planes
 
     # pairwise orthogonality of distinct planes, brute force on every grid
     worst = 0.0
-    for f_dim in range(1, max_grid + 1):
-        for t_dim in range(1, max_grid + 1):
-            mat = local_planes(f_dim, t_dim).reshape(f_dim * t_dim, -1)
+    for f_dim in range(1, 9):
+        for t_dim in range(1, 9):
+            planes = _planes(f_dim, t_dim, list(np.ndindex(f_dim, t_dim)))
+            mat = planes.reshape(f_dim * t_dim, -1)
             g = mat @ mat.T
             off = g - np.diag(np.diag(g))
             worst = max(worst, float(np.max(np.abs(off))))
     results.append(PropertyResult(
         "orthogonality", worst < 1e-9,
-        f"max |<Di,Dj>| over distinct pairs = {worst:.3e} (grids up to {max_grid}x{max_grid})"))
+        f"max |<Di,Dj>| over distinct pairs = {worst:.3e} (grids up to 8x8)"))
 
     # lowest component equals F*T times the global mean
     worst = 0.0
-    for _ in range(n_random):
+    for _ in range(100):
         c = int(rng.integers(1, 9))
         f_dim = int(rng.integers(1, 17))
         t_dim = int(rng.integers(1, 21))
         x = rng.standard_normal((c, f_dim, t_dim))
         sp00 = np.array([dct2d(x[i])[0, 0] for i in range(c)])
-        if perturb:
-            sp00 = sp00 + perturb
         worst = max(worst, float(np.max(np.abs(sp00 - f_dim * t_dim * gap(x)))))
     results.append(PropertyResult(
         "gap_equivalence", worst < 1e-9,
-        f"max |SP[0,0] - F*T*gap| = {worst:.3e} over {n_random} random tensors"))
+        f"max |SP[0,0] - F*T*gap| = {worst:.3e} over 100 random tensors"))
 
     # normalized (0,0) plane reduces a map to its global mean
     worst = 0.0
@@ -200,8 +188,6 @@ def run_verification(max_grid: int = 8, n_random: int = 100, seed: int = 0,
         t_dim = int(rng.integers(1, 9))
         x = rng.standard_normal((3, f_dim, t_dim))
         plane = _planes(f_dim, t_dim, [(0, 0)])[0] / (f_dim * t_dim)
-        if perturb:
-            plane = plane + perturb
         z = np.einsum("ij,cij->c", plane, x)
         worst = max(worst, float(np.max(np.abs(z - gap(x)))))
     results.append(PropertyResult(
@@ -213,8 +199,6 @@ def run_verification(max_grid: int = 8, n_random: int = 100, seed: int = 0,
     for shape in [(4, 6), (8, 8), (5, 3), (1, 7), (6, 1)]:
         x = rng.standard_normal(shape)
         rec = idct2d(dct2d_orthonormal(x))
-        if perturb:
-            rec = rec + perturb
         worst = max(worst, float(np.max(np.abs(rec - x))))
     results.append(PropertyResult(
         "orthonormal_round_trip", worst < 1e-10,
@@ -223,8 +207,6 @@ def run_verification(max_grid: int = 8, n_random: int = 100, seed: int = 0,
     # repeated basis construction is bitwise identical
     a = _planes(7, 5, [(2, 3)])[0]
     b = _planes(7, 5, [(2, 3)])[0]
-    if perturb:
-        b = b + perturb
     same = bool(np.array_equal(a, b)) and np.array_equal(
         basis_plane(7, 5, FrequencyIndex(2, 3)), a)
     results.append(PropertyResult(

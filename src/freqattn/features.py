@@ -307,6 +307,8 @@ def read_feat(path) -> FeatureMatrix:
     if rank != 2:
         raise FormatError(f"{path}: expected rank 2, got {rank}")
     dims = struct.unpack_from("<2I", raw, 12)
+    if 0 in dims:
+        raise FormatError(f"{path}: empty {dims[0]}x{dims[1]} feature matrix")
     payload = raw[FEAT_HEADER_BYTES:]
     expect = 8 * dims[0] * dims[1]
     if len(payload) != expect:

@@ -4,8 +4,9 @@ Conventions: a trial is accepted when score >= threshold, so at threshold
 theta the miss rate is the fraction of target scores below theta and the
 false-alarm rate is the fraction of nontarget scores at or above it. EER
 interpolates linearly between the two operating points that bracket the
-miss = false-alarm crossing. minDCF is normalized by the cost of the best
-uninformative decision, min(c_miss * p_target, c_fa * (1 - p_target)).
+miss = false-alarm crossing. minDCF uses p_target = 0.05 and
+C_miss = C_fa = 1, normalized by the cost of the best uninformative
+decision, min(p_target, 1 - p_target).
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ from typing import List, Optional
 import numpy as np
 
 from .errors import NumericError, ParseError
+
+P_TARGET = 0.05
 
 
 @dataclass
@@ -32,7 +35,6 @@ class EvalMetrics:
     eer: float
     eer_threshold: float
     min_dcf: float
-    operating_points: list     # (threshold, p_miss, p_fa)
 
 
 def cosine_score(a: np.ndarray, b: np.ndarray) -> float:
@@ -56,65 +58,57 @@ def _split_scores(trials):
     return tgt, non
 
 
-def roc_points(target_scores, nontarget_scores):
-    """Operating points (threshold, p_miss, p_fa) at every distinct score.
+def _roc(tgt, non):
+    """(thresholds, p_miss, p_fa) at every distinct score.
 
-    A final point one step past the maximum pins down (p_miss, p_fa) = (1, 0).
+    The first point has (p_miss, p_fa) = (0, 1); a final point one step past
+    the maximum pins down (1, 0).
     """
-    tgt = np.sort(np.asarray(target_scores, dtype=np.float64))
-    non = np.sort(np.asarray(nontarget_scores, dtype=np.float64))
-    all_scores = np.unique(np.concatenate([tgt, non]))
-    thresholds = np.append(all_scores, all_scores[-1] + 1.0)
+    tgt = np.sort(np.asarray(tgt, dtype=np.float64))
+    non = np.sort(np.asarray(non, dtype=np.float64))
+    levels = np.unique(np.concatenate([tgt, non]))
+    thresholds = np.append(levels, levels[-1] + 1.0)
     p_miss = np.searchsorted(tgt, thresholds, side="left") / tgt.size
     p_fa = (non.size - np.searchsorted(non, thresholds, side="left")) / non.size
-    return list(zip(thresholds.tolist(), p_miss.tolist(), p_fa.tolist()))
+    return thresholds, p_miss, p_fa
+
+
+def _eer(thresholds, p_miss, p_fa):
+    # first index with miss >= false alarm; never 0, where (p_miss, p_fa) = (0, 1)
+    i = int(np.argmax(p_miss >= p_fa))
+    if p_miss[i] == p_fa[i]:
+        return float(p_miss[i]), float(thresholds[i])
+    th0, th1 = thresholds[i - 1:i + 1].tolist()
+    m0, m1 = p_miss[i - 1:i + 1].tolist()
+    f0, f1 = p_fa[i - 1:i + 1].tolist()
+    # diff = miss - fa is nondecreasing; interpolate its zero crossing
+    t = (f0 - m0) / ((m1 - m0) - (f1 - f0))
+    return m0 + t * (m1 - m0), th0 + t * (th1 - th0)
+
+
+def _min_dcf(p_miss, p_fa) -> float:
+    best = float(np.min(P_TARGET * p_miss + (1.0 - P_TARGET) * p_fa))
+    return best / min(P_TARGET, 1.0 - P_TARGET)
 
 
 def eer_from_scores(target_scores, nontarget_scores):
     """(EER, threshold) by linear interpolation at the miss/false-alarm crossing."""
-    points = roc_points(target_scores, nontarget_scores)
-    prev = points[0]
-    for cur in points:
-        miss, fa = cur[1], cur[2]
-        if miss >= fa:
-            if miss == fa:
-                return miss, cur[0]
-            th0, m0, f0 = prev
-            th1, m1, f1 = cur
-            # diff = miss - fa is nondecreasing; interpolate its zero crossing
-            t = (f0 - m0) / ((m1 - m0) - (f1 - f0))
-            return m0 + t * (m1 - m0), th0 + t * (th1 - th0)
-        prev = cur
-    raise AssertionError("no miss/false-alarm crossing found")  # unreachable
+    return _eer(*_roc(target_scores, nontarget_scores))
 
 
-def min_dcf_from_scores(target_scores, nontarget_scores, p_target: float = 0.05,
-                        c_miss: float = 1.0, c_fa: float = 1.0) -> float:
-    points = roc_points(target_scores, nontarget_scores)
-    best = min(c_miss * p_target * m + c_fa * (1.0 - p_target) * f
-               for _, m, f in points)
-    return best / min(c_miss * p_target, c_fa * (1.0 - p_target))
+def min_dcf_from_scores(target_scores, nontarget_scores) -> float:
+    _, p_miss, p_fa = _roc(target_scores, nontarget_scores)
+    return _min_dcf(p_miss, p_fa)
 
 
 def compute_eer(trials):
-    tgt, non = _split_scores(trials)
-    return eer_from_scores(tgt, non)
+    return eer_from_scores(*_split_scores(trials))
 
 
-def compute_min_dcf(trials, p_target: float = 0.05, c_miss: float = 1.0,
-                    c_fa: float = 1.0) -> float:
-    tgt, non = _split_scores(trials)
-    return min_dcf_from_scores(tgt, non, p_target, c_miss, c_fa)
-
-
-def evaluate_trials(trials, p_target: float = 0.05) -> EvalMetrics:
-    tgt, non = _split_scores(trials)
-    eer, threshold = eer_from_scores(tgt, non)
-    return EvalMetrics(
-        eer=eer,
-        eer_threshold=threshold,
-        min_dcf=min_dcf_from_scores(tgt, non, p_target),
-        operating_points=roc_points(tgt, non))
+def evaluate_trials(trials) -> EvalMetrics:
+    thresholds, p_miss, p_fa = _roc(*_split_scores(trials))
+    eer, threshold = _eer(thresholds, p_miss, p_fa)
+    return EvalMetrics(eer=eer, eer_threshold=threshold, min_dcf=_min_dcf(p_miss, p_fa))
 
 
 # ---------------------------------------------------------------------------

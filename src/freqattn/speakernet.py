@@ -101,7 +101,6 @@ def num_parameters(net: SpeakerNet) -> int:
 class _ForwardCache:
     stage_inputs: list = field(default_factory=list)
     stage_pre: list = field(default_factory=list)       # conv output, pre-ReLU
-    stage_act: list = field(default_factory=list)       # post-ReLU
     stage_attn: list = field(default_factory=list)      # AttentionState
     fmean: np.ndarray = None                            # (C, T') after freq collapse
     mu: np.ndarray = None
@@ -126,7 +125,6 @@ def _forward(net: SpeakerNet, x: np.ndarray, cache: Optional[_ForwardCache]):
         if cache is not None:
             cache.stage_inputs.append(h)
             cache.stage_pre.append(pre)
-            cache.stage_act.append(act)
             cache.stage_attn.append(state)
         h = y
     fmean = h.mean(axis=1)                    # collapse frequency -> (C, T')
@@ -162,9 +160,8 @@ def backward(net: SpeakerNet, cache: _ForwardCache, d_emb: np.ndarray) -> np.nda
     # sd = sqrt(mean(diff^2) + eps):  d diff = diff * dsd / (sd * T')
     ddiff = cache.diff * (dsd / cache.sd)[:, None] / t_len
     dfmean = ddiff - ddiff.mean(axis=1, keepdims=True) + dmu[:, None] / t_len
-    f_dim = cache.stage_act[-1].shape[1]
-    dh = np.broadcast_to(dfmean[:, None, :] / f_dim,
-                         cache.stage_act[-1].shape).copy()
+    last_shape = cache.stage_attn[-1].x.shape     # the last block keeps its input shape
+    dh = np.broadcast_to(dfmean[:, None, :] / last_shape[1], last_shape).copy()
     for st, x_in, pre, state in zip(reversed(net.stages),
                                     reversed(cache.stage_inputs),
                                     reversed(cache.stage_pre),

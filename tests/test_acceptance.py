@@ -264,7 +264,7 @@ def test_criterion_6_metric_oracle(acceptance_report):
     four = [mt.Trial(1, "a", "b", 0.9), mt.Trial(1, "c", "d", 0.2),
             mt.Trial(0, "e", "f", 0.8), mt.Trial(0, "g", "h", 0.1)]
     eer4, _ = mt.compute_eer(four)
-    dcf4 = mt.compute_min_dcf(four)
+    dcf4 = mt.evaluate_trials(four).min_dcf
     ok = worst < 1e-6 and eer4 == 0.5 and dcf4 == 0.5
     acceptance_report(6, "EER/minDCF match the brute-force oracle", ok,
            f"(max dev = {worst:.2e}, four-score set EER={eer4} minDCF={dcf4})")

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from test_dct import perturb_second_plane
 
 from freqattn import cli
 from freqattn import config as cfgmod
@@ -108,8 +109,9 @@ class TestVerifyDct:
         assert out.count("PASS") == 5
         assert "FAIL" not in out
 
-    def test_perturbed_basis_fails(self, capsys):
-        assert cli.main(["verify-dct", "--perturb", "1e-3"]) == 1
+    def test_perturbed_basis_fails(self, capsys, monkeypatch):
+        perturb_second_plane(monkeypatch)
+        assert cli.main(["verify-dct"]) == 1
         out = capsys.readouterr().out
         assert "FAIL orthogonality" in out
 
@@ -165,6 +167,22 @@ class TestExtract:
         err = capsys.readouterr().err
         assert rc == 1
         assert err.count("\n") == 1 and err.startswith(f"error: {in_dir / 'odd.wav'}: ")
+
+    @pytest.mark.parametrize("rate, n_samples, message", [
+        (8000, 8000, "waveform rate 8000 != configured 16000"),
+        (16000, 100, "input of 100 samples shorter than one 400-sample frame"),
+        (16000, 500, "mvn needs at least 2 frames"),
+        (16000, 0, "empty data chunk"),
+    ])
+    def test_error_line_names_wav_once(self, tmp_path, capsys, rate, n_samples, message):
+        in_dir = tmp_path / "wav"
+        in_dir.mkdir()
+        wav = in_dir / "bad.wav"
+        feats.write_wav(wav, np.full(n_samples, 0.1), sample_rate=rate)
+        rc = cli.main(["extract", "--in", str(in_dir), "--out", str(tmp_path / "feat")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err == f"error: {wav}: {message}\n"
 
     def test_rerun_bitwise_identical(self, tmp_path, capsys):
         in_dir = tmp_path / "wav"
@@ -313,7 +331,7 @@ class TestTrain:
         assert rc == 1
         assert "does not exist" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("damage", ["header_cut", "nan"])
+    @pytest.mark.parametrize("damage", ["header_cut", "nan", "zero_frames", "zero_bins"])
     def test_bad_feature_file_names_it(self, synth_dir, tmp_path, capsys, damage):
         feat_dir = tmp_path / "feats"
         feat_dir.mkdir()
@@ -324,6 +342,10 @@ class TestTrain:
         bad = tmp_path / lines[0].split()[1]
         if damage == "header_cut":
             bad.write_bytes(bad.read_bytes()[:15])
+        elif damage == "zero_frames":
+            feats.write_feat(bad, feats.FeatureMatrix(np.zeros((64, 0))))
+        elif damage == "zero_bins":
+            feats.write_feat(bad, feats.FeatureMatrix(np.zeros((0, 200))))
         else:
             fm = feats.read_feat(bad)
             fm.values[5, 7] = np.nan
@@ -436,6 +458,15 @@ class TestScoreAndMetrics:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith(f"error: {scores}: "), err
         assert message in err
+
+    def test_metrics_stdout_is_pinned(self, tmp_path, capsys):
+        rng = np.random.default_rng(30)
+        lines = [f"1 e{i} t{i} {s:.2f}" for i, s in enumerate(rng.normal(0.3, 0.4, 40))]
+        lines += [f"0 e{i} t{i} {s:.2f}" for i, s in enumerate(rng.normal(-0.1, 0.4, 160))]
+        scores = tmp_path / "scores.txt"
+        scores.write_text("\n".join(lines) + "\n")
+        assert cli.main(["metrics", "--scores", str(scores)]) == 0
+        assert capsys.readouterr().out == "EER=31.346154 minDCF=0.900000\n"
 
     def test_metrics_perfect_separation(self, tmp_path, capsys):
         scores = tmp_path / "scores.txt"

@@ -224,6 +224,19 @@ class TestCacheConcurrency:
             assert np.array_equal(r, results[0])
 
 
+def perturb_second_plane(monkeypatch):
+    """Make every multi-plane stack built by dct._planes non-orthogonal."""
+    planes = dct._planes
+
+    def perturbed(f_dim, t_dim, indices):
+        out = planes(f_dim, t_dim, indices)
+        if out.shape[0] > 1:
+            out[1] += 1e-3
+        return out
+
+    monkeypatch.setattr(dct, "_planes", perturbed)
+
+
 class TestVerificationReport:
     def test_all_properties_pass(self):
         results = dct.run_verification()
@@ -232,7 +245,8 @@ class TestVerificationReport:
         assert {"orthogonality", "gap_equivalence", "orthonormal_round_trip",
                 "normalized_gap_reduction", "determinism"} <= names
 
-    def test_perturbed_basis_fails(self):
-        results = dct.run_verification(perturb=1e-3)
+    def test_perturbed_basis_fails(self, monkeypatch):
+        perturb_second_plane(monkeypatch)
+        results = dct.run_verification()
         failed = [r.name for r in results if not r.passed]
         assert "orthogonality" in failed

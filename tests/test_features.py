@@ -274,6 +274,14 @@ class TestFeatFile:
         with pytest.raises(NumericError, match=re.escape(f"{p}: ") + ".*bin 2 frame 3"):
             feats.read_feat(p)
 
+    @pytest.mark.parametrize("shape", [(64, 0), (0, 200), (0, 0)])
+    def test_zero_dimension_names_file_and_dims(self, tmp_path, shape):
+        p = tmp_path / "z.feat"
+        feats.write_feat(p, feats.FeatureMatrix(np.zeros(shape)))
+        expected = f"{p}: empty {shape[0]}x{shape[1]} feature matrix"
+        with pytest.raises(FormatError, match=re.escape(expected)):
+            feats.read_feat(p)
+
     def test_truncated_payload(self, tmp_path):
         fm = feats.FeatureMatrix(np.zeros((4, 4)))
         p = tmp_path / "t.feat"

@@ -103,15 +103,15 @@ class TestEer:
 
 class TestMinDcf:
     def test_perfect_separation(self):
-        assert mt.compute_min_dcf(scored([0.8, 0.9], [0.1, 0.2])) == 0.0
+        assert mt.evaluate_trials(scored([0.8, 0.9], [0.1, 0.2])).min_dcf == 0.0
 
     def test_interleaved_four_scores(self):
         # best operating point (p_miss, p_fa) = (0.5, 0): 0.05*0.5 / 0.05
-        assert mt.compute_min_dcf(scored([0.9, 0.2], [0.8, 0.1])) == pytest.approx(0.5)
+        assert mt.evaluate_trials(scored([0.9, 0.2], [0.8, 0.1])).min_dcf == pytest.approx(0.5)
 
     def test_single_pair_inverted(self):
         # reachable points (0,1)->19, (1,1)->20, (1,0)->1
-        assert mt.compute_min_dcf(scored([0.1], [0.9])) == pytest.approx(1.0)
+        assert mt.evaluate_trials(scored([0.1], [0.9])).min_dcf == pytest.approx(1.0)
 
     def test_matches_brute_force_on_random_sets(self):
         rng = np.random.default_rng(1)
@@ -131,6 +131,29 @@ class TestMinDcf:
             # by (p_t + (1-p_t)) / min(p_t, 1-p_t) = 1/0.05 * ... bounded below by minDCF
             dcf_eer = (0.05 * m.eer + 0.95 * m.eer) / 0.05
             assert m.min_dcf <= dcf_eer + 1e-12
+
+
+def tie_heavy(seed, n_t, n_n):
+    """Scores rounded to 2 decimals, so many fall on the same threshold."""
+    rng = np.random.default_rng(seed)
+    return (np.round(rng.normal(0.3, 0.4, n_t), 2), np.round(rng.normal(-0.1, 0.4, n_n), 2))
+
+
+class TestGolden:
+    """Exact (EER, threshold, minDCF) on tie-heavy sets: every reported result rests on them."""
+
+    @pytest.mark.parametrize("tgt, non, expected", [
+        (*tie_heavy(20, 7, 13), (0.15384615384615385, 0.1030769230769231, 0.42857142857142855)),
+        (*tie_heavy(21, 30, 50), (0.3, -0.0, 0.5333333333333333)),
+        (*tie_heavy(22, 3, 200), (0.6019417475728155, -0.2038834951456311, 1.0)),
+        (*tie_heavy(23, 60, 9), (0.4444444444444444, 0.19777777777777777, 0.9)),
+        ([0.5, 0.5], [0.5], (0.5, 1.0, 1.0)),
+    ])
+    def test_exact_values(self, tgt, non, expected):
+        eer, threshold = mt.eer_from_scores(tgt, non)
+        assert (eer, threshold, mt.min_dcf_from_scores(tgt, non)) == expected
+        m = mt.evaluate_trials(scored(tgt, non))
+        assert (m.eer, m.eer_threshold, m.min_dcf) == expected
 
 
 class TestInvariances:

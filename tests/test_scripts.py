@@ -1,4 +1,4 @@
-"""Smoke runs of the two example scripts at a tiny budget."""
+"""Smoke runs of the two example scripts and the benchmark self-test at a tiny budget."""
 
 import os
 import re
@@ -33,3 +33,10 @@ def test_toy_experiment(tmp_path):
     header, *rows = lines[-4:]
     assert header.split()[:3] == ["variant", "EER%", "minDCF"]
     assert [row.split()[0] for row in rows] == ["se", "sfsc", "mfsc:avg_max"]
+
+
+def test_benchmark_selftest():
+    # the benchmark calls and traces freqattn functions by name; a rename must fail here
+    proc = subprocess.run([sys.executable, "perfbench/selftest.py"],
+                          capture_output=True, text=True, cwd=ROOT, timeout=600)
+    assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -64,7 +64,7 @@ class TestForwardEmbed:
             cfg = sn.NetworkConfig(attention_variant=variant, aggregation=agg)
             net = sn.SpeakerNet(cfg, np.random.default_rng(8))
             emb, cache = sn.forward_train(net, x)
-            shapes.append((emb.shape, [a.shape for a in cache.stage_act]))
+            shapes.append((emb.shape, [state.x.shape for state in cache.stage_attn]))
         assert shapes[0] == shapes[1] == shapes[2]
 
     def test_parameter_count_identical_across_variants(self):
