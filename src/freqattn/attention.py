@@ -100,10 +100,6 @@ class AttentionBlock:
         return self.indices or tuple(dct.select_frequency_indices(f_dim, t_dim, self.k))
 
 
-def parameter_count(block: AttentionBlock) -> int:
-    return sum(p.size for p in block.parameters())
-
-
 @dataclass
 class AttentionState:
     """Forward cache consumed by attention_backward."""

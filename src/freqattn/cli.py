@@ -8,7 +8,9 @@ the exit code. FREQATTN_SEED in the environment overrides the config seed.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import os
+import platform
 import sys
 from pathlib import Path
 
@@ -24,6 +26,29 @@ from .errors import (ConfigError, DimensionError, FormatError, NumericError, Par
 
 _KNOWN_ERRORS = (ConfigError, DimensionError, FormatError, NumericError,
                  ParseError, FileNotFoundError, IndexError, ValueError)
+
+_M_TRIM_THRESHOLD = -1      # glibc malloc.h
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_freed_memory() -> None:
+    """Keep freed temporaries in this process's heap; a no-op off glibc.
+
+    Every training and scoring step allocates and frees the same conv
+    temporaries (up to ~1 MB). With glibc's default thresholds, malloc maps
+    them and hands them back to the kernel, so each example faults them in
+    again. Raising both thresholds keeps them in the heap for reuse.
+    """
+    if platform.libc_ver()[0] != "glibc":
+        return
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
 
 
 def cmd_verify_dct(args) -> int:
@@ -276,6 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    _keep_freed_memory()
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)

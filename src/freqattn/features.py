@@ -157,11 +157,6 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
-def mel_filter_centers(cfg: MelConfig) -> np.ndarray:
-    pts = np.linspace(hz_to_mel(cfg.fmin), hz_to_mel(cfg.fmax_hz), cfg.n_mels + 2)
-    return mel_to_hz(pts)[1:-1]
-
-
 def mel_filterbank(cfg: MelConfig) -> np.ndarray:
     """Triangular filters on FFT bin frequencies, (n_mels, n_fft//2 + 1)."""
     pts = mel_to_hz(np.linspace(hz_to_mel(cfg.fmin), hz_to_mel(cfg.fmax_hz),

@@ -11,6 +11,7 @@ import time
 
 import numpy as np
 import pytest
+from gradcheck import grad_check
 
 from freqattn import attention as attn
 from freqattn import cli
@@ -104,9 +105,9 @@ def _grad_block(variant, seed, **kw):
         _, y, state = attn.forward(block, x0, return_state=True)
         return y, lambda dy: attn.attention_backward(block, state, dy)[2]
 
-    errs = [tz.grad_check(f_x, x0, rng=rng).max_rel_err,
-            tz.grad_check(f_w1, block.w1.value.copy(), rng=rng).max_rel_err,
-            tz.grad_check(f_w2, block.w2.value.copy(), rng=rng).max_rel_err]
+    errs = [grad_check(f_x, x0, rng=rng).max_rel_err,
+            grad_check(f_w1, block.w1.value.copy(), rng=rng).max_rel_err,
+            grad_check(f_w2, block.w2.value.copy(), rng=rng).max_rel_err]
     return max(errs)
 
 
@@ -125,8 +126,8 @@ def _grad_aam(seed):
         res = sn.aam_loss(head, emb0, label)
         return np.array(res.loss), lambda w: w * res.grad_weight
 
-    return max(tz.grad_check(f_emb, emb0, rng=rng).max_rel_err,
-               tz.grad_check(f_w, head.weight.value.copy(), rng=rng).max_rel_err)
+    return max(grad_check(f_emb, emb0, rng=rng).max_rel_err,
+               grad_check(f_w, head.weight.value.copy(), rng=rng).max_rel_err)
 
 
 def _grad_conv(seed):
@@ -140,8 +141,8 @@ def _grad_conv(seed):
     def f_w(v):
         return tz.conv2d(x0, v, 2, 1), lambda dy: tz.conv2d_backward(x0, v, dy, 2, 1)[1]
 
-    return max(tz.grad_check(f_x, x0, rng=rng).max_rel_err,
-               tz.grad_check(f_w, w.copy(), rng=rng).max_rel_err)
+    return max(grad_check(f_x, x0, rng=rng).max_rel_err,
+               grad_check(f_w, w.copy(), rng=rng).max_rel_err)
 
 
 def _grad_full_network(seed):
@@ -166,7 +167,7 @@ def _grad_full_network(seed):
             return sn.backward(net, cache, w * res.grad_emb)
         return np.array(res.loss), vjp
 
-    worst = max(worst, tz.grad_check(f_x, x0, rng=rng).max_rel_err)
+    worst = max(worst, grad_check(f_x, x0, rng=rng).max_rel_err)
 
     for param in net.parameters() + [head.weight]:
         def f_p(v, param=param):
@@ -183,7 +184,7 @@ def _grad_full_network(seed):
                 return param.grad.copy()
             return np.array(res.loss), vjp
 
-        worst = max(worst, tz.grad_check(f_p, param.value.copy(), rng=rng).max_rel_err)
+        worst = max(worst, grad_check(f_p, param.value.copy(), rng=rng).max_rel_err)
     return worst
 
 
@@ -206,8 +207,8 @@ def test_criterion_4_gradient_correctness(acceptance_report):
 
 def test_criterion_5_parameter_parity(acceptance_report):
     block_counts = {
-        variant_agg: attn.parameter_count(attn.AttentionBlock(
-            variant, 64, 8, k=(None if variant == "se" else 16), aggregation=agg))
+        variant_agg: sum(p.size for p in attn.AttentionBlock(
+            variant, 64, 8, k=(None if variant == "se" else 16), aggregation=agg).parameters())
         for variant_agg, (variant, agg) in {
             "se": ("se", "avg"), "sfsc": ("sfsc", "avg"),
             "mfsc_avg": ("mfsc", "avg"), "mfsc_max": ("mfsc", "max"),
@@ -221,31 +222,32 @@ def test_criterion_5_parameter_parity(acceptance_report):
            f"(block counts {block_counts}, net counts {net_counts})")
 
 
-def _eer_oracle(targets, nontargets, grid=20001):
+def _oracle_rates(targets, nontargets, grid):
+    """(p_miss, p_fa) by direct counting at every grid threshold and every score."""
     scores = np.concatenate([targets, nontargets])
     thresholds = np.unique(np.concatenate(
-        [np.linspace(scores.min() - 1, scores.max() + 1, grid), scores]))
-    prev = None
-    for th in thresholds:
-        miss = np.sum(targets < th) / targets.size
-        fa = np.sum(nontargets >= th) / nontargets.size
-        if miss >= fa:
-            if miss == fa or prev is None:
-                return miss
-            pm, pf = prev
-            t = (pf - pm) / ((miss - pm) - (fa - pf))
-            return pm + t * (miss - pm)
-        prev = (miss, fa)
-    return 1.0
+        [np.linspace(scores.min() - 1, scores.max() + 1, grid), scores]))[:, None]
+    miss = np.sum(targets < thresholds, axis=1) / targets.size
+    fa = np.sum(nontargets >= thresholds, axis=1) / nontargets.size
+    return miss, fa
+
+
+def _eer_oracle(targets, nontargets, grid=20001):
+    miss, fa = _oracle_rates(targets, nontargets, grid)
+    crossed = np.flatnonzero(miss >= fa)
+    if crossed.size == 0:
+        return 1.0
+    i = crossed[0]
+    if miss[i] == fa[i] or i == 0:
+        return miss[i]
+    pm, pf = miss[i - 1], fa[i - 1]
+    t = (pf - pm) / ((miss[i] - pm) - (fa[i] - pf))
+    return pm + t * (miss[i] - pm)
 
 
 def _min_dcf_oracle(targets, nontargets, p_target=0.05, grid=20001):
-    scores = np.concatenate([targets, nontargets])
-    thresholds = np.unique(np.concatenate(
-        [np.linspace(scores.min() - 1, scores.max() + 1, grid), scores]))
-    best = min(p_target * (np.sum(targets < th) / targets.size)
-               + (1 - p_target) * (np.sum(nontargets >= th) / nontargets.size)
-               for th in thresholds)
+    miss, fa = _oracle_rates(targets, nontargets, grid)
+    best = np.min(p_target * miss + (1 - p_target) * fa)
     return best / min(p_target, 1 - p_target)
 
 

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from gradcheck import grad_check
 from hypothesis import given, settings, strategies as st
 from test_dct import plane_naive
 
@@ -199,21 +200,25 @@ class TestBackward:
             _, y, state = attn.forward(block, x0, return_state=True)
             return y, lambda dy: attn.attention_backward(block, state, dy)[2]
 
-        assert tz.grad_check(f_x, x0, rng=rng).passed
-        assert tz.grad_check(f_w1, block.w1.value.copy(), rng=rng).passed
-        assert tz.grad_check(f_w2, block.w2.value.copy(), rng=rng).passed
+        assert grad_check(f_x, x0, rng=rng).passed
+        assert grad_check(f_w1, block.w1.value.copy(), rng=rng).passed
+        assert grad_check(f_w2, block.w2.value.copy(), rng=rng).passed
+
+
+def parameter_count(block):
+    return sum(p.size for p in block.parameters())
 
 
 class TestParameterParity:
     def test_identical_counts_across_variants(self):
         counts = {
-            "se": attn.parameter_count(make_block("se", channels=16, reduction=8)),
-            "sfsc": attn.parameter_count(make_block("sfsc", channels=16, reduction=8, k=4)),
-            "mfsc_avg": attn.parameter_count(
+            "se": parameter_count(make_block("se", channels=16, reduction=8)),
+            "sfsc": parameter_count(make_block("sfsc", channels=16, reduction=8, k=4)),
+            "mfsc_avg": parameter_count(
                 make_block("mfsc", channels=16, reduction=8, k=4, aggregation="avg")),
-            "mfsc_max": attn.parameter_count(
+            "mfsc_max": parameter_count(
                 make_block("mfsc", channels=16, reduction=8, k=4, aggregation="max")),
-            "mfsc_avg_max": attn.parameter_count(
+            "mfsc_avg_max": parameter_count(
                 make_block("mfsc", channels=16, reduction=8, k=4, aggregation="avg_max")),
         }
         assert len(set(counts.values())) == 1

@@ -1,4 +1,5 @@
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -474,6 +475,54 @@ class TestScoreAndMetrics:
                           "0 e f 0.200000\n0 g h 0.100000\n")
         assert cli.main(["metrics", "--scores", str(scores)]) == 0
         assert "EER=0.000000" in capsys.readouterr().out
+
+
+class TestKeepFreedMemory:
+    """cli.main keeps freed conv temporaries in the heap instead of the kernel."""
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="tunes glibc malloc only")
+    def test_steady_state_epochs_take_few_page_faults(self, synth_dir, tmp_path):
+        import resource     # POSIX only
+        examples = len((synth_dir / "train.txt").read_text().splitlines())
+        faults = {}
+        for epochs in (1, 3):
+            cfg = cfgmod.RunConfig()      # the default network: temporaries up to ~0.9 MB
+            cfg.train.epochs = epochs
+            cfg.train_list = str(synth_dir / "train.txt")
+            cfg_path = tmp_path / f"e{epochs}.cfg"
+            cfg_path.write_text(cfgmod.serialize_config(cfg))
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            assert cli.main(["train", "--config", str(cfg_path),
+                             "--out", str(tmp_path / f"e{epochs}.ckpt")]) == 0
+            faults[epochs] = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        # the two extra epochs, without first-touch heap growth; with glibc's
+        # default thresholds this was 560-720 faults per example
+        per_example = (faults[3] - faults[1]) / (2 * examples)
+        assert per_example < 100, faults
+
+    def test_returns_quietly_on_this_libc(self):
+        assert cli._keep_freed_memory() is None
+
+    @pytest.mark.parametrize("libc, lookup", [
+        (("", ""), None),                       # not glibc: the libc is never opened
+        (("glibc", "2.36"), OSError("no libc")),
+        (("glibc", "2.36"), AttributeError("mallopt")),
+    ], ids=["not_glibc", "no_libc", "no_mallopt"])
+    def test_no_mallopt_without_glibc_mallopt(self, monkeypatch, libc, lookup):
+        calls = []
+
+        class FakeLibc:
+            def __init__(self, name):
+                if lookup is not None:
+                    raise lookup
+
+            def mallopt(self, *args):
+                calls.append(args)
+
+        monkeypatch.setattr(cli.platform, "libc_ver", lambda: libc)
+        monkeypatch.setattr(cli.ctypes, "CDLL", FakeLibc)
+        assert cli._keep_freed_memory() is None
+        assert calls == []
 
 
 def save_untrained_checkpoint(path, cfg):

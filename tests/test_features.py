@@ -97,7 +97,9 @@ class TestLogmel:
         t = np.arange(16000) / 16000.0
         wave = feats.Waveform(0.5 * np.sin(2 * np.pi * 1000.0 * t), 16000)
         fm = feats.logmel(wave, cfg)
-        centers = feats.mel_filter_centers(cfg)
+        mels = np.linspace(feats.hz_to_mel(cfg.fmin), feats.hz_to_mel(cfg.fmax_hz),
+                           cfg.n_mels + 2)
+        centers = feats.mel_to_hz(mels)[1:-1]
         expected_bin = int(np.argmin(np.abs(centers - 1000.0)))
         got_bin = int(np.argmax(fm.values.mean(axis=1)))
         assert got_bin == expected_bin

@@ -13,40 +13,34 @@ def scored(targets, nontargets):
     return trials
 
 
-def eer_brute_force(targets, nontargets, grid=20001):
-    """Naive counting over a dense threshold grid plus every distinct level.
-
-    Evaluates (p_miss, p_fa) by direct loops and interpolates the zero
-    crossing of their difference, independently of the production path.
-    """
+def brute_force_rates(targets, nontargets, grid):
+    """(p_miss, p_fa) counted directly at a dense threshold grid plus every distinct level."""
     scores = np.concatenate([targets, nontargets])
     lo, hi = scores.min() - 1.0, scores.max() + 1.0
     thresholds = np.unique(np.concatenate(
-        [np.linspace(lo, hi, grid), scores, scores + 1e-12]))
-    prev = None
-    for th in thresholds:
-        miss = sum(1 for s in targets if s < th) / len(targets)
-        fa = sum(1 for s in nontargets if s >= th) / len(nontargets)
-        if miss >= fa:
-            if miss == fa or prev is None:
-                return miss
-            pm, pf = prev
-            t = (pf - pm) / ((miss - pm) - (fa - pf))
-            return pm + t * (miss - pm)
-        prev = (miss, fa)
-    return 1.0
+        [np.linspace(lo, hi, grid), scores, scores + 1e-12]))[:, None]
+    miss = np.sum(targets < thresholds, axis=1) / len(targets)
+    fa = np.sum(nontargets >= thresholds, axis=1) / len(nontargets)
+    return miss, fa
+
+
+def eer_brute_force(targets, nontargets, grid=20001):
+    """Interpolates the zero crossing of p_miss - p_fa, independently of the production path."""
+    miss, fa = brute_force_rates(targets, nontargets, grid)
+    crossed = np.flatnonzero(miss >= fa)
+    if crossed.size == 0:
+        return 1.0
+    i = crossed[0]
+    if miss[i] == fa[i] or i == 0:
+        return miss[i]
+    pm, pf = miss[i - 1], fa[i - 1]
+    t = (pf - pm) / ((miss[i] - pm) - (fa[i] - pf))
+    return pm + t * (miss[i] - pm)
 
 
 def min_dcf_brute_force(targets, nontargets, p_target=0.05, grid=20001):
-    scores = np.concatenate([targets, nontargets])
-    lo, hi = scores.min() - 1.0, scores.max() + 1.0
-    thresholds = np.unique(np.concatenate(
-        [np.linspace(lo, hi, grid), scores, scores + 1e-12]))
-    best = np.inf
-    for th in thresholds:
-        miss = sum(1 for s in targets if s < th) / len(targets)
-        fa = sum(1 for s in nontargets if s >= th) / len(nontargets)
-        best = min(best, p_target * miss + (1 - p_target) * fa)
+    miss, fa = brute_force_rates(targets, nontargets, grid)
+    best = np.min(p_target * miss + (1 - p_target) * fa)
     return best / min(p_target, 1 - p_target)
 
 
