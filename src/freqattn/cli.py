@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import itertools
 import os
 import platform
 import sys
@@ -21,11 +22,7 @@ from . import dct
 from . import features as feats
 from . import metrics as mt
 from . import speakernet as sn
-from .errors import (ConfigError, DimensionError, FormatError, NumericError, ParseError,
-                     naming)
-
-_KNOWN_ERRORS = (ConfigError, DimensionError, FormatError, NumericError,
-                 ParseError, FileNotFoundError, IndexError, ValueError)
+from .errors import ConfigError, FreqattnError, NumericError, ParseError, naming
 
 _M_TRIM_THRESHOLD = -1      # glibc malloc.h
 _M_MMAP_THRESHOLD = -3
@@ -49,6 +46,13 @@ def _keep_freed_memory() -> None:
     mallopt.restype = ctypes.c_int
     mallopt(_M_TRIM_THRESHOLD, 64 << 20)
     mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+
+
+def _report(exc) -> None:
+    """One `error: <file>: <message>` line on stderr."""
+    if isinstance(exc, OSError) and exc.filename is not None:
+        exc = f"{exc.filename}: {exc.strerror}"
+    print(f"error: {exc}", file=sys.stderr)
 
 
 def cmd_verify_dct(args) -> int:
@@ -80,8 +84,8 @@ def cmd_extract(args) -> int:
                 if cfg.mvn:
                     fm = feats.mvn(fm)
             feats.write_feat(out_dir / (wav.stem + ".feat"), fm)
-        except _KNOWN_ERRORS as exc:
-            print(f"error: {exc}", file=sys.stderr)
+        except (FreqattnError, OSError) as exc:
+            _report(exc)
             failures += 1
     print(f"extracted={len(wavs) - failures} failed={failures}")
     return 1 if failures else 0
@@ -92,23 +96,21 @@ def _load_train_examples(cfg):
     base = list_path.parent
     labels = []
     files = []
-    for lineno, line in enumerate(list_path.read_text().splitlines(), start=1):
-        if not line.strip():
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ParseError(f"{list_path}: line {lineno}: expected '<speaker> <file>'")
-        labels.append(parts[0])
-        files.append(base / parts[1])
-    if not labels:
-        raise ConfigError(f"{list_path}: empty training list")
+    with naming(list_path):
+        for lineno, line in enumerate(list_path.read_text().splitlines(), start=1):
+            if not line.strip():
+                continue
+            parts = line.split()
+            if len(parts) != 2:
+                raise ParseError(f"line {lineno}: expected '<speaker> <file>'")
+            labels.append(parts[0])
+            files.append(base / parts[1])
+        if not labels:
+            raise ConfigError("empty training list")
     speakers = sorted(set(labels))
     index = {s: i for i, s in enumerate(speakers)}
-    examples = []
-    for label, path in zip(labels, files):
-        if not path.exists():
-            raise ConfigError(f"training feature file missing: {path}")
-        examples.append((index[label], feats.read_feat(path)))
+    examples = [(index[label], feats.read_feat(path, cfg.mel.n_mels))
+                for label, path in zip(labels, files)]
     return examples, speakers
 
 
@@ -157,18 +159,15 @@ def _load_model(checkpoint_path):
 
 
 def _feature_path(features_dir: Path, trial_id: str) -> Path:
-    direct = features_dir / trial_id
-    if direct.exists():
-        return direct
-    alt = features_dir / (Path(trial_id).stem + ".feat")
-    if alt.exists():
-        return alt
+    for path in (features_dir / trial_id, features_dir / (Path(trial_id).stem + ".feat")):
+        if path.exists():
+            return path
     raise FileNotFoundError(f"no feature file for trial id {trial_id!r} "
                             f"under {features_dir}")
 
 
 def cmd_score(args) -> int:
-    _, net = _load_model(args.checkpoint)
+    cfg, net = _load_model(args.checkpoint)
     with naming(args.trials):
         trials = mt.parse_trials(Path(args.trials).read_text())
     if not trials:
@@ -179,7 +178,7 @@ def cmd_score(args) -> int:
         for tid in (trial.enroll, trial.test):
             if tid not in embeddings:
                 path = _feature_path(features_dir, tid)
-                fm = feats.read_feat(path)
+                fm = feats.read_feat(path, cfg.mel.n_mels)
                 # a non-finite embedding is reported below, not warned about
                 with naming(path), np.errstate(over="ignore", invalid="ignore"):
                     emb = sn.forward_embed(net, fm.values[None, :, :])
@@ -202,11 +201,12 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    seed = args.seed
-    if seed is None:
-        seed = int(os.environ.get("FREQATTN_SEED", 7))
-    if args.test_utts >= args.utts:
-        raise ConfigError("--test-utts must be smaller than --utts")
+    seed = (cfgmod.check_seed(args.seed, "--seed") if args.seed is not None
+            else cfgmod.env_seed(os.environ, cfgmod.RunConfig.seed))
+    if not 0 <= args.test_utts < args.utts:
+        raise ConfigError("--test-utts must be >= 0 and smaller than --utts")
+    if args.trials < 0:
+        raise ConfigError(f"--trials must be >= 0, got {args.trials}")
     out = Path(args.out)
     feat_dir = out / "feats"
     feat_dir.mkdir(parents=True, exist_ok=True)
@@ -225,19 +225,10 @@ def cmd_synth(args) -> int:
             test_ids.setdefault(utt.speaker, []).append(name)
     (out / "train.txt").write_text("\n".join(train_lines) + "\n")
 
-    target_pairs = []
-    for spk in sorted(test_ids):
-        ids = test_ids[spk]
-        for i in range(len(ids)):
-            for j in range(i + 1, len(ids)):
-                target_pairs.append((ids[i], ids[j]))
-    cross_pairs = []
-    speakers = sorted(test_ids)
-    for si in range(len(speakers)):
-        for sj in range(si + 1, len(speakers)):
-            for a in test_ids[speakers[si]]:
-                for b in test_ids[speakers[sj]]:
-                    cross_pairs.append((a, b))
+    target_pairs = [pair for spk in sorted(test_ids)
+                    for pair in itertools.combinations(test_ids[spk], 2)]
+    cross_pairs = [(a, b) for s, t in itertools.combinations(sorted(test_ids), 2)
+                   for a in test_ids[s] for b in test_ids[t]]
 
     rng = np.random.default_rng(seed + 1)
     n_target = min(args.trials // 2, len(target_pairs))
@@ -305,8 +296,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except _KNOWN_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (FreqattnError, OSError) as exc:
+        _report(exc)
         return 1
 
 

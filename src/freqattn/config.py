@@ -19,6 +19,16 @@ from .features import MelConfig
 from .speakernet import NetworkConfig, TrainOptions
 
 
+def check_seed(value, source: str) -> int:
+    """`value` as an rng seed, or a ConfigError naming `source`."""
+    try:
+        if int(value) >= 0:
+            return int(value)
+    except ValueError:
+        pass
+    raise ConfigError(f"{source} must be a non-negative integer, got {value!r}")
+
+
 @dataclass
 class RunConfig:
     seed: int = 7
@@ -32,6 +42,7 @@ class RunConfig:
     features_dir: str = ""
 
     def __post_init__(self):
+        check_seed(self.seed, "seed")
         if not (self.margin >= 0.0 and self.scale > 0.0):
             raise ConfigError(f"margin must be >= 0 and scale > 0, got "
                               f"{self.margin} and {self.scale}")
@@ -145,15 +156,16 @@ def parse_config(text: str) -> RunConfig:
         **values[None])
 
 
+def env_seed(env, default: int) -> int:
+    """FREQATTN_SEED from `env` if it is set there, else `default`."""
+    return check_seed(env.get("FREQATTN_SEED", default), "FREQATTN_SEED")
+
+
 def load_config(path, env=None) -> RunConfig:
     """Read a config file, naming it in any parse or range error;
-    FREQATTN_SEED in the environment overrides the seed."""
+    FREQATTN_SEED in `env` overrides the seed."""
     with naming(path):
         cfg = parse_config(Path(path).read_text())
-    if env is not None and "FREQATTN_SEED" in env:
-        try:
-            cfg.seed = int(env["FREQATTN_SEED"])
-        except ValueError as exc:
-            raise ConfigError(f"FREQATTN_SEED must be an integer: "
-                              f"{env['FREQATTN_SEED']!r}") from exc
+    if env is not None:
+        cfg.seed = env_seed(env, cfg.seed)
     return cfg

@@ -289,7 +289,8 @@ def write_feat(path, fm: FeatureMatrix) -> None:
     Path(path).write_bytes(blob)
 
 
-def read_feat(path) -> FeatureMatrix:
+def read_feat(path, n_mels=None) -> FeatureMatrix:
+    """A FEAT file's matrix; with `n_mels`, a FormatError unless it has that many bins."""
     raw = Path(path).read_bytes()
     if raw[:4] != FEAT_MAGIC:
         raise FormatError(f"{path}: not a FEAT file")
@@ -304,6 +305,8 @@ def read_feat(path) -> FeatureMatrix:
     dims = struct.unpack_from("<2I", raw, 12)
     if 0 in dims:
         raise FormatError(f"{path}: empty {dims[0]}x{dims[1]} feature matrix")
+    if n_mels is not None and dims[0] != n_mels:
+        raise FormatError(f"{path}: {dims[0]} mel bins, config has features.n_mels = {n_mels}")
     payload = raw[FEAT_HEADER_BYTES:]
     expect = 8 * dims[0] * dims[1]
     if len(payload) != expect:

@@ -17,7 +17,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .errors import NumericError, ParseError
+from .errors import ConfigError, NumericError, ParseError
 
 P_TARGET = 0.05
 
@@ -47,14 +47,14 @@ def cosine_score(a: np.ndarray, b: np.ndarray) -> float:
 
 def _split_scores(trials):
     if any(t.score is None for t in trials):
-        raise ValueError("all trials must be scored")
+        raise ConfigError("all trials must be scored")
     for t in trials:
         if not math.isfinite(t.score):
             raise NumericError(f"non-finite score {t.score} for trial {t.enroll} {t.test}")
     tgt = np.array([t.score for t in trials if t.label == 1], dtype=np.float64)
     non = np.array([t.score for t in trials if t.label == 0], dtype=np.float64)
     if tgt.size == 0 or non.size == 0:
-        raise ValueError("need at least one target and one nontarget trial")
+        raise ConfigError("need at least one target and one nontarget trial")
     return tgt, non
 
 

@@ -679,3 +679,129 @@ def test_bad_config_value_is_one_named_error(synth_dir, tmp_path, capsys, comman
     assert err.count("\n") == 1 and err.startswith(f"error: {cfg_path}: "), err
     assert field in err
     assert not out.exists()
+
+
+class BadInput:
+    """Files for one bad-input case: a tiny training config and the synth corpus."""
+
+    def __init__(self, tmp_path, synth_dir, checkpoint, monkeypatch):
+        self.tmp, self.synth_dir, self.checkpoint = tmp_path, synth_dir, checkpoint
+        self.setenv = monkeypatch.setenv
+
+    def config(self, *extra_lines, train_list=None):
+        cfg = tiny_run_config()
+        cfg.train.epochs = 1
+        cfg.train_list = str(train_list or self.synth_dir / "train.txt")
+        path = self.tmp / "run.cfg"
+        path.write_text(cfgmod.serialize_config(cfg) + config_lines(*extra_lines))
+        return path
+
+    def train(self, config=None, out=None):
+        return ["train", "--config", str(config or self.config()),
+                "--out", str(out or self.tmp / "m.ckpt")]
+
+    def feat(self, name, n_mels):
+        path = self.tmp / name
+        rng = np.random.default_rng(0)
+        feats.write_feat(path, feats.FeatureMatrix(rng.standard_normal((n_mels, 300))))
+        return path
+
+
+def _negative_seed_key(w):
+    cfg = w.config("seed = -1")
+    return w.train(cfg), f"{cfg}: seed must be a non-negative integer, got -1"
+
+
+def _negative_env_seed(w):
+    w.setenv("FREQATTN_SEED", "-1")
+    return w.train(), "FREQATTN_SEED must be a non-negative integer, got '-1'"
+
+
+def _non_integer_env_seed_synth(w):
+    w.setenv("FREQATTN_SEED", "abc")
+    return (["synth", "--out", str(w.tmp / "s")],
+            "FREQATTN_SEED must be a non-negative integer, got 'abc'")
+
+
+def _negative_synth_seed(w):
+    return (["synth", "--out", str(w.tmp / "s"), "--seed", "-1"],
+            "--seed must be a non-negative integer, got -1")
+
+
+def _negative_synth_trials(w):
+    return ["synth", "--out", str(w.tmp / "s"), "--trials", "-5"], "--trials must be >= 0"
+
+
+def _negative_synth_test_utts(w):
+    return (["synth", "--out", str(w.tmp / "s"), "--test-utts", "-1"],
+            "--test-utts must be >= 0")
+
+
+def _non_utf8_train_list(w):
+    bad = w.tmp / "train.txt"
+    bad.write_bytes(b"spk000 feats/a.feat\n\xff\n")
+    return w.train(w.config(train_list=bad)), f"{bad}: not UTF-8 text"
+
+
+def _narrow_feat_scored(w):
+    bad = w.feat("narrow.feat", 2)
+    trials = w.tmp / "trials.txt"
+    trials.write_text("1 narrow.feat narrow.feat\n")
+    return (["score", "--checkpoint", str(w.checkpoint), "--trials", str(trials),
+             "--features", str(w.tmp), "--out", str(w.tmp / "s.txt")],
+            f"{bad}: 2 mel bins, config has features.n_mels = 64")
+
+
+def _mixed_bin_counts_trained(w):
+    bad = w.feat("forty.feat", 40)
+    train_list = w.tmp / "train.txt"
+    first = (w.synth_dir / "train.txt").read_text().splitlines()[0]
+    train_list.write_text(f"{first.split()[0]} {w.synth_dir / first.split()[1]}\n"
+                          f"spk999 forty.feat\n")
+    return (w.train(w.config(train_list=train_list)),
+            f"{bad}: 40 mel bins, config has features.n_mels = 64")
+
+
+def _train_out_is_directory(w):
+    out = w.tmp / "out"
+    out.mkdir()
+    return w.train(out=out), f"{out}: Is a directory"
+
+
+def _train_config_is_directory(w):
+    return w.train(config=w.tmp), f"{w.tmp}: Is a directory"
+
+
+def _extract_out_is_file(w):
+    (w.tmp / "wav").mkdir()
+    feats.write_wav(w.tmp / "wav" / "u0.wav", np.zeros(8000))
+    out = w.tmp / "taken"
+    out.write_text("")
+    return ["extract", "--in", str(w.tmp / "wav"), "--out", str(out)], f"{out}: File exists"
+
+
+BAD_INPUT_CASES = {fn.__name__.lstrip("_"): fn for fn in (
+    _negative_seed_key, _negative_env_seed, _non_integer_env_seed_synth,
+    _negative_synth_seed, _negative_synth_trials, _negative_synth_test_utts,
+    _non_utf8_train_list, _narrow_feat_scored, _mixed_bin_counts_trained,
+    _train_out_is_directory, _train_config_is_directory, _extract_out_is_file)}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUT_CASES))
+def test_bad_input_is_one_error_line(synth_dir, trained_checkpoint, tmp_path, capsys,
+                                     monkeypatch, case):
+    w = BadInput(tmp_path, synth_dir, trained_checkpoint[1], monkeypatch)
+    argv, message = BAD_INPUT_CASES[case](w)
+    capsys.readouterr()
+    rc = cli.main(argv)
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.count("\n") == 1 and err.startswith(f"error: {message}"), err
+
+
+def test_bare_value_error_is_a_bug_and_propagates(monkeypatch):
+    def broken():
+        raise ValueError("a programming error, not a bad input")
+    monkeypatch.setattr(cli.dct, "run_verification", broken)
+    with pytest.raises(ValueError, match="programming error"):
+        cli.main(["verify-dct"])
