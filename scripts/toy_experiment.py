@@ -1,84 +1,71 @@
 #!/usr/bin/env python3
-"""Desk-scale comparison of SE / SFSC / MFSC attention variants.
+"""SE / SFSC / MFSC side by side, through the `freqattn` command.
 
-Generates a synthetic speaker corpus, trains one tiny embedding network per
-variant with identical seeds and budgets, then reports held-out EER and
-minDCF side by side. Everything is deterministic given --seed.
+`synth` once, then `train`, `score` and `metrics` per variant, each echoed as a
+`$ freqattn ...` line, then one table: EER, minDCF, first and last epoch loss,
+parameters and training seconds. The defaults are acceptance criterion 7's
+corpus and budget. A failed step ends the script with its exit code and error.
 
-Example:
     python scripts/toy_experiment.py --epochs 30 --seed 7
-    python scripts/toy_experiment.py --variants se,mfsc:max --epochs 10
+    python scripts/toy_experiment.py --variants se,mfsc:max --epochs 10 --workdir run
 """
 
 import argparse
+import contextlib
+import io
+import re
+import shlex
 import sys
+import tempfile
 import time
+from pathlib import Path
 
-import numpy as np
-
-from freqattn import features as feats
-from freqattn import metrics as mt
+from freqattn import cli
+from freqattn import config as cfgmod
 from freqattn import speakernet as sn
 
 
-def split_dataset(num_speakers, utts, test_utts, seed):
-    data = feats.synth_dataset(num_speakers, utts, seed)
-    examples = [(u.speaker, feats.mvn(u.features)) for u in data]
-    per = {}
-    for label, fm in examples:
-        per.setdefault(label, []).append(fm)
-    train, test = [], []
-    for label in sorted(per):
-        train += [(label, fm) for fm in per[label][:utts - test_utts]]
-        test += [(label, fm) for fm in per[label][utts - test_utts:]]
-    return train, test
+def freqattn(*argv):
+    """Run one CLI step and return what it printed; exit the script if it fails."""
+    argv = [str(a) for a in argv]
+    print(f"$ freqattn {shlex.join(argv)}", flush=True)
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        rc = cli.main(argv)
+    print(out.getvalue(), end="", flush=True)
+    if rc != 0:
+        sys.exit(rc)
+    return out.getvalue()
 
 
-def make_trials(test_examples, n_trials, seed):
-    labels = [label for label, _ in test_examples]
-    targets, crosses = [], []
-    for i in range(len(labels)):
-        for j in range(i + 1, len(labels)):
-            (targets if labels[i] == labels[j] else crosses).append((i, j))
-    if not targets:
-        raise SystemExit("no target pairs possible: need >= 2 held-out "
-                         "utterances per speaker (raise --test-utts)")
-    rng = np.random.default_rng(seed + 1)
-    n_target = min(n_trials // 2, len(targets))
-    if n_target < len(targets):
-        keep = rng.choice(len(targets), n_target, replace=False)
-        targets = [targets[k] for k in sorted(keep)]
-    keep = rng.choice(len(crosses), min(n_trials - n_target, len(crosses)),
-                      replace=False)
-    crosses = [crosses[k] for k in sorted(keep)]
-    return [(1, i, j) for i, j in targets] + [(0, i, j) for i, j in crosses]
-
-
-def run_variant(variant, aggregation, train_ex, test_ex, trials, args):
-    rng = np.random.default_rng(args.seed)
-    cfg = sn.NetworkConfig(attention_variant=variant, aggregation=aggregation,
-                           num_speakers=len({l for l, _ in train_ex}))
-    net = sn.SpeakerNet(cfg, rng)
-    head = sn.AamHead(cfg.num_speakers, cfg.embedding_dim, rng=rng)
-    opts = sn.TrainOptions(epochs=args.epochs, batch_size=args.batch)
-    t0 = time.time()
-    history = sn.train(net, head, train_ex, opts, rng=rng)
-    train_s = time.time() - t0
-
-    embeddings = [sn.forward_embed(net, fm.values[None]) for _, fm in test_ex]
-    scored = [mt.Trial(label, str(i), str(j),
-                       score=mt.cosine_score(embeddings[i], embeddings[j]))
-              for label, i, j in trials]
-    result = mt.evaluate_trials(scored)
-    return {
-        "eer": result.eer, "min_dcf": result.min_dcf,
-        "loss0": history[0].mean_loss, "loss_end": history[-1].mean_loss,
-        "params": sn.num_parameters(net), "seconds": train_s,
-    }
+def run(args, work):
+    """Yield one table row per variant."""
+    corpus = work / "corpus"
+    freqattn("synth", "--out", corpus, "--speakers", args.speakers, "--utts", args.utts,
+             "--test-utts", args.test_utts, "--trials", args.trials, "--seed", args.seed)
+    for name in args.variants.split(","):
+        variant, _, aggregation = name.partition(":")
+        cfg = cfgmod.RunConfig(seed=args.seed, train_list=str(corpus / "train.txt"),
+                               features_dir=str(corpus / "feats"))
+        cfg.network.attention_variant = variant
+        cfg.network.aggregation = aggregation or "avg"
+        cfg.train.epochs, cfg.train.batch_size = args.epochs, args.batch
+        stem = str(work / name.replace(":", "_"))
+        Path(f"{stem}.cfg").write_text(cfgmod.serialize_config(cfg))
+        start = time.time()
+        log = freqattn("train", "--config", f"{stem}.cfg", "--out", f"{stem}.ckpt")
+        seconds = time.time() - start
+        freqattn("score", "--checkpoint", f"{stem}.ckpt", "--features", corpus / "feats",
+                 "--trials", corpus / "trials.txt", "--out", f"{stem}.scores")
+        metrics = freqattn("metrics", "--scores", f"{stem}.scores")
+        eer, min_dcf = (float(v) for v in re.findall(r"=(\S+)", metrics))
+        losses = [float(v) for v in re.findall(r"^epoch=\d+ loss=(\S+)", log, re.M)]
+        yield (name, eer, min_dcf, losses[0], losses[-1],
+               sn.num_parameters(sn.SpeakerNet(cfg.network)), seconds)
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--workdir", help="default: a temporary directory")
     parser.add_argument("--speakers", type=int, default=20)
     parser.add_argument("--utts", type=int, default=20)
     parser.add_argument("--test-utts", type=int, default=5, dest="test_utts")
@@ -89,27 +76,13 @@ def main(argv=None):
     parser.add_argument("--variants", default="se,sfsc,mfsc:avg_max",
                         help="comma list; mfsc takes :avg, :max or :avg_max")
     args = parser.parse_args(argv)
-
-    train_ex, test_ex = split_dataset(args.speakers, args.utts, args.test_utts,
-                                      args.seed)
-    trials = make_trials(test_ex, args.trials, args.seed)
-    print(f"speakers={args.speakers} train={len(train_ex)} test={len(test_ex)} "
-          f"trials={len(trials)} epochs={args.epochs} seed={args.seed}")
-
-    rows = []
-    for name in args.variants.split(","):
-        variant, _, aggregation = name.partition(":")
-        aggregation = aggregation or "avg"
-        print(f"training {name} ...", flush=True)
-        stats = run_variant(variant, aggregation, train_ex, test_ex, trials, args)
-        rows.append((name, stats))
-
+    with tempfile.TemporaryDirectory() as tmp:
+        rows = list(run(args, Path(args.workdir or tmp)))
     print(f"\n{'variant':<14}{'EER%':>8}{'minDCF':>10}{'loss(1)':>10}"
           f"{'loss(end)':>11}{'params':>9}{'sec':>7}")
-    for name, s in rows:
-        print(f"{name:<14}{s['eer'] * 100:>8.2f}{s['min_dcf']:>10.3f}"
-              f"{s['loss0']:>10.3f}{s['loss_end']:>11.4f}{s['params']:>9}"
-              f"{s['seconds']:>7.1f}")
+    for name, eer, min_dcf, loss0, loss_end, params, seconds in rows:
+        print(f"{name:<14}{eer:>8.2f}{min_dcf:>10.3f}{loss0:>10.3f}{loss_end:>11.4f}"
+              f"{params:>9}{seconds:>7.1f}")
     return 0
 
 

@@ -131,6 +131,10 @@ def cmd_train(args) -> int:
             raise ConfigError(f"paths.{name} does not exist: {value}")
     if not cfg.train_list:
         raise ConfigError("paths.train_list is required for training")
+    out_existed = os.path.exists(args.out)
+    open(args.out, "ab").close()    # an unwritable --out fails now, not after training
+    if not out_existed:
+        os.remove(args.out)
     examples, speakers = _load_train_examples(cfg)
     if cfg.network.num_speakers == 0:
         cfg.network.num_speakers = len(speakers)

@@ -9,7 +9,9 @@ live here too. Everything is deterministic given the caller's rng.
 
 from __future__ import annotations
 
+import math
 import struct
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -43,6 +45,12 @@ class MelConfig:
     def __post_init__(self):
         if self.n_mels < 1:
             raise ConfigError(f"n_mels must be >= 1, got {self.n_mels}")
+        if not self.sample_rate <= sys.float_info.max:     # the frame sizes are floats
+            raise ConfigError(f"sample_rate={self.sample_rate} is too large")
+        for name in ("frame_len_ms", "frame_shift_ms"):
+            if not self.sample_rate * getattr(self, name) < math.inf:
+                raise ConfigError(f"{name}={getattr(self, name)} overflows at "
+                                  f"{self.sample_rate} Hz")
         if self.shift_samples < 1:
             raise ConfigError(f"frame_shift_ms={self.frame_shift_ms} is shorter than "
                               f"one sample at {self.sample_rate} Hz")

@@ -73,9 +73,8 @@ class SpeakerNet:
             a = 1.0 / np.sqrt(c_in * kernel * kernel)
             conv = Parameter(rng.uniform(-a, a, (c_out, c_in, kernel, kernel)),
                              f"stage{i}.conv.w")
-            k = None if cfg.attention_variant == "se" else cfg.attention_k[i]
             block = attention.AttentionBlock(
-                cfg.attention_variant, c_out, cfg.reduction, k=k,
+                cfg.attention_variant, c_out, cfg.reduction, k=cfg.attention_k[i],
                 aggregation=cfg.aggregation, rng=rng)
             block.w1.name = f"stage{i}.attn.w1"
             block.w2.name = f"stage{i}.attn.w2"
@@ -100,13 +99,9 @@ def num_parameters(net: SpeakerNet) -> int:
 @dataclass
 class _ForwardCache:
     stage_inputs: list = field(default_factory=list)
-    stage_pre: list = field(default_factory=list)       # conv output, pre-ReLU
-    stage_attn: list = field(default_factory=list)      # AttentionState
-    fmean: np.ndarray = None                            # (C, T') after freq collapse
-    mu: np.ndarray = None
-    sd: np.ndarray = None
-    diff: np.ndarray = None
-    pooled: np.ndarray = None
+    stage_attn: list = field(default_factory=list)      # AttentionState; x is post-ReLU
+    diff: np.ndarray = None                             # (C, T') freq means minus mu
+    pooled: np.ndarray = None                           # [mu, sd]
 
 
 _STD_EPS = 1e-12
@@ -119,12 +114,10 @@ def _forward(net: SpeakerNet, x: np.ndarray, cache: Optional[_ForwardCache]):
             f"got shape {x.shape}")
     h = x
     for st in net.stages:
-        pre = conv2d(h, st.conv.value, st.stride, st.pad)
-        act = relu(pre)
+        act = relu(conv2d(h, st.conv.value, st.stride, st.pad))
         _, y, state = attention.forward(st.block, act, return_state=True)
         if cache is not None:
             cache.stage_inputs.append(h)
-            cache.stage_pre.append(pre)
             cache.stage_attn.append(state)
         h = y
     fmean = h.mean(axis=1)                    # collapse frequency -> (C, T')
@@ -134,8 +127,7 @@ def _forward(net: SpeakerNet, x: np.ndarray, cache: Optional[_ForwardCache]):
     pooled = np.concatenate([mu, sd])
     emb = net.proj.value @ pooled
     if cache is not None:
-        cache.fmean, cache.mu, cache.sd, cache.diff = fmean, mu, sd, diff
-        cache.pooled = pooled
+        cache.diff, cache.pooled = diff, pooled
     return emb
 
 
@@ -154,22 +146,20 @@ def backward(net: SpeakerNet, cache: _ForwardCache, d_emb: np.ndarray) -> np.nda
     """Accumulate parameter gradients; return the input gradient."""
     net.proj.grad += np.outer(d_emb, cache.pooled)
     d_pooled = net.proj.value.T @ d_emb
-    c = cache.mu.size
+    c, t_len = cache.diff.shape
     dmu, dsd = d_pooled[:c], d_pooled[c:]
-    t_len = cache.fmean.shape[1]
     # sd = sqrt(mean(diff^2) + eps):  d diff = diff * dsd / (sd * T')
-    ddiff = cache.diff * (dsd / cache.sd)[:, None] / t_len
+    ddiff = cache.diff * (dsd / cache.pooled[c:])[:, None] / t_len
     dfmean = ddiff - ddiff.mean(axis=1, keepdims=True) + dmu[:, None] / t_len
     last_shape = cache.stage_attn[-1].x.shape     # the last block keeps its input shape
     dh = np.broadcast_to(dfmean[:, None, :] / last_shape[1], last_shape).copy()
-    for st, x_in, pre, state in zip(reversed(net.stages),
-                                    reversed(cache.stage_inputs),
-                                    reversed(cache.stage_pre),
-                                    reversed(cache.stage_attn)):
+    for st, x_in, state in zip(reversed(net.stages), reversed(cache.stage_inputs),
+                               reversed(cache.stage_attn)):
         d_act, dw1, dw2 = attention.attention_backward(st.block, state, dh)
         st.block.w1.grad += dw1
         st.block.w2.grad += dw2
-        d_pre = relu_backward(pre, d_act)
+        # relu(pre) > 0 exactly where pre > 0, so the post-ReLU input gives the mask
+        d_pre = relu_backward(state.x, d_act)
         dh, dw = conv2d_backward(x_in, st.conv.value, d_pre, st.stride, st.pad)
         st.conv.grad += dw
     return dh

@@ -648,6 +648,8 @@ BAD_CONFIG_CASES = {
     "margin_negative": ({"loss.margin": "-0.1"}, "margin"),
     "batch_zero": ({"optimizer.batch": "0"}, "batch_size"),
     "crop_huge": ({"features.crop_seconds": "1e308"}, "crop_seconds"),
+    "frame_len_overflow": ({"features.frame_len_ms": "1e306"}, "frame_len_ms"),
+    "sample_rate_401_digits": ({"features.sample_rate": "9" * 401}, "sample_rate"),
 }
 
 
@@ -768,6 +770,11 @@ def _train_out_is_directory(w):
     return w.train(out=out), f"{out}: Is a directory"
 
 
+def _train_out_in_missing_dir(w):
+    out = w.tmp / "missing" / "m.ckpt"
+    return w.train(out=out), f"{out}: No such file or directory"
+
+
 def _train_config_is_directory(w):
     return w.train(config=w.tmp), f"{w.tmp}: Is a directory"
 
@@ -784,7 +791,8 @@ BAD_INPUT_CASES = {fn.__name__.lstrip("_"): fn for fn in (
     _negative_seed_key, _negative_env_seed, _non_integer_env_seed_synth,
     _negative_synth_seed, _negative_synth_trials, _negative_synth_test_utts,
     _non_utf8_train_list, _narrow_feat_scored, _mixed_bin_counts_trained,
-    _train_out_is_directory, _train_config_is_directory, _extract_out_is_file)}
+    _train_out_is_directory, _train_out_in_missing_dir, _train_config_is_directory,
+    _extract_out_is_file)}
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUT_CASES))
@@ -794,9 +802,10 @@ def test_bad_input_is_one_error_line(synth_dir, trained_checkpoint, tmp_path, ca
     argv, message = BAD_INPUT_CASES[case](w)
     capsys.readouterr()
     rc = cli.main(argv)
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert rc == 1
     assert err.count("\n") == 1 and err.startswith(f"error: {message}"), err
+    assert "epoch=" not in out      # a bad --out is reported before training, too
 
 
 def test_bare_value_error_is_a_bug_and_propagates(monkeypatch):
