@@ -23,6 +23,7 @@ from .tensor import tensor
 FEAT_MAGIC = b"FEAT"
 FEAT_VERSION = 1
 FEAT_HEADER_BYTES = 20       # magic, u32 version, u32 rank, two u32 dims
+MAX_N_FFT = 65536            # 4 s frames at 16 kHz; far above any speech front end
 
 
 @dataclass
@@ -59,9 +60,17 @@ class MelConfig:
         if self.n_fft < self.frame_samples:
             raise ConfigError(
                 f"n_fft={self.n_fft} smaller than frame of {self.frame_samples} samples")
+        if self.n_fft > MAX_N_FFT:
+            raise ConfigError(f"n_fft={self.n_fft} is above the limit of {MAX_N_FFT}")
+        if self.n_mels > self.n_fft // 2 + 1:     # a mel band needs at least one FFT bin
+            raise ConfigError(f"n_mels={self.n_mels} exceeds the {self.n_fft // 2 + 1} "
+                              f"FFT bins of n_fft={self.n_fft}")
         if not 0.0 <= self.fmin < self.fmax_hz:
             raise ConfigError(f"fmin={self.fmin} must be >= 0 and below "
                               f"fmax={self.fmax_hz} Hz")
+        if self.fmax_hz > self.sample_rate / 2.0:
+            raise ConfigError(f"fmax={self.fmax_hz} Hz is above the Nyquist frequency "
+                              f"{self.sample_rate / 2.0} Hz")
         if not self.log_floor > 0.0:
             raise ConfigError(f"log_floor must be > 0, got {self.log_floor}")
 

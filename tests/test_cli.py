@@ -650,6 +650,12 @@ BAD_CONFIG_CASES = {
     "crop_huge": ({"features.crop_seconds": "1e308"}, "crop_seconds"),
     "frame_len_overflow": ({"features.frame_len_ms": "1e306"}, "frame_len_ms"),
     "sample_rate_401_digits": ({"features.sample_rate": "9" * 401}, "sample_rate"),
+    "fmax_at_sample_rate": ({"features.fmax": "16000.0"}, "fmax=16000.0 Hz is above"),
+    "fmax_huge": ({"features.fmax": "1e300"}, "fmax=1e+300 Hz is above"),
+    "n_fft_30_digits": ({"features.n_fft": "9" * 30}, "n_fft"),
+    "n_fft_over_limit": ({"features.n_fft": "65537"}, "n_fft=65537 is above"),
+    "n_mels_30_digits": ({"features.n_mels": "9" * 30}, "n_mels"),
+    "n_mels_over_fft_bins": ({"features.n_mels": "258"}, "n_mels=258 exceeds the 257"),
 }
 
 

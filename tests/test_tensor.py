@@ -1,7 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 from gradcheck import grad_check
 
+from freqattn import speakernet as sn
 from freqattn import tensor as tz
 from freqattn.errors import DimensionError
 
@@ -20,6 +23,23 @@ def conv2d_naive(x, w, stride, pad):
                 patch = xp[:, i * stride:i * stride + kh, j * stride:j * stride + kw]
                 y[co, i, j] = np.sum(patch * w[co])
     return y
+
+
+def conv2d_backward_naive(x, w, dy, stride, pad):
+    """Loop oracle for both conv2d gradients, in unpadded coordinates:
+    dx[c, i*s+u-p, j*s+v-p] += w[o,c,u,v] * dy[o,i,j], and the matching dw."""
+    c_out, c_in, kh, kw = w.shape
+    _, f, t = x.shape
+    dx = np.zeros(x.shape)
+    dw = np.zeros(w.shape)
+    for o, c, u, v, i, j in itertools.product(range(c_out), range(c_in), range(kh),
+                                              range(kw), range(dy.shape[1]),
+                                              range(dy.shape[2])):
+        r, q = i * stride + u - pad, j * stride + v - pad
+        if 0 <= r < f and 0 <= q < t:
+            dx[c, r, q] += w[o, c, u, v] * dy[o, i, j]
+            dw[o, c, u, v] += x[c, r, q] * dy[o, i, j]
+    return dx, dw
 
 
 class TestConv2d:
@@ -65,9 +85,45 @@ class TestConv2d:
             assert np.allclose(tz.conv2d(x, w, stride, pad),
                                conv2d_naive(x, w, stride, pad), atol=1e-12)
 
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    def test_sweep_matches_naive_oracles(self, stride):
+        # every valid F, T in 1..7, kh, kw in 1..4, pad in 0..3: covers pad >=
+        # kernel, stride > kernel (input cells no tap reads, whose dx must be
+        # exactly 0) and 1x1 outputs
+        rng = np.random.default_rng(10 + stride)
+        for f, t, kh, kw, pad in itertools.product(range(1, 8), range(1, 8), range(1, 5),
+                                                   range(1, 5), range(4)):
+            if f + 2 * pad < kh or t + 2 * pad < kw:
+                continue
+            x = rng.standard_normal((2, f, t))
+            w = rng.standard_normal((1, 2, kh, kw))
+            y = tz.conv2d(x, w, stride, pad)
+            np.testing.assert_allclose(y, conv2d_naive(x, w, stride, pad), rtol=0,
+                                       atol=1e-12)
+            dy = rng.standard_normal(y.shape)
+            dx, dw = tz.conv2d_backward(x, w, dy, stride, pad)
+            dx_ref, dw_ref = conv2d_backward_naive(x, w, dy, stride, pad)
+            np.testing.assert_allclose(dx, dx_ref, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(dw, dw_ref, rtol=0, atol=1e-12)
+            assert np.array_equal(dx == 0.0, dx_ref == 0.0)
+
     def test_kernel_too_large(self):
         with pytest.raises(DimensionError, match="kernel"):
             tz.conv2d(np.zeros((1, 2, 2)), np.zeros((1, 1, 4, 4)), pad=0)
+
+
+class TestConvBuildsNoPaddedCopy:
+    def test_network_step_never_pads_or_windows(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("conv2d must read the unpadded map in place")
+        monkeypatch.setattr(np, "pad", forbidden)
+        monkeypatch.setattr(np.lib.stride_tricks, "sliding_window_view", forbidden)
+        net = sn.SpeakerNet(sn.NetworkConfig(), np.random.default_rng(0))
+        x = np.random.default_rng(1).standard_normal((1, 64, 200))
+        emb, cache = sn.forward_train(net, x)
+        dx = sn.backward(net, cache, np.ones_like(emb))
+        assert dx.shape == x.shape
+        assert np.all(np.isfinite(emb)) and np.all(np.isfinite(dx))
 
 
 class TestElementwise:
