@@ -133,8 +133,8 @@ def _reads(block, z_full):
     return [win] if block.aggregation == "max" else [None, win]
 
 
-def forward(block: AttentionBlock, x: np.ndarray, return_state: bool = False):
-    """Squeeze x by the block's DCT planes, excite, rescale the channels."""
+def forward(block: AttentionBlock, x: np.ndarray):
+    """Squeeze x by the block's DCT planes, excite, rescale: (s, y, backward state)."""
     _check_input(block, x)
     c, f_dim, t_dim = x.shape
     indices = block.resolve_indices(f_dim, t_dim)
@@ -158,7 +158,7 @@ def forward(block: AttentionBlock, x: np.ndarray, return_state: bool = False):
         state.hid.append(h)
     s = state.s = sigmoid(u)
     y = x * s[:, None, None]
-    return (s, y, state) if return_state else (s, y)
+    return s, y, state
 
 
 def attention_backward(block: AttentionBlock, state: AttentionState, dy: np.ndarray):

@@ -188,6 +188,8 @@ def cmd_score(args) -> int:
                     emb = sn.forward_embed(net, fm.values[None, :, :])
                     if not np.all(np.isfinite(emb)):
                         raise NumericError("non-finite embedding")
+                    if np.linalg.norm(emb) == 0.0:     # what cosine_score rejects
+                        raise NumericError("zero-norm embedding")
                 embeddings[tid] = emb
     for trial in trials:
         trial.score = mt.cosine_score(embeddings[trial.enroll], embeddings[trial.test])

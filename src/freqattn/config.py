@@ -161,11 +161,10 @@ def env_seed(env, default: int) -> int:
     return check_seed(env.get("FREQATTN_SEED", default), "FREQATTN_SEED")
 
 
-def load_config(path, env=None) -> RunConfig:
+def load_config(path, env) -> RunConfig:
     """Read a config file, naming it in any parse or range error;
     FREQATTN_SEED in `env` overrides the seed."""
     with naming(path):
         cfg = parse_config(Path(path).read_text())
-    if env is not None:
-        cfg.seed = env_seed(env, cfg.seed)
+    cfg.seed = env_seed(env, cfg.seed)
     return cfg

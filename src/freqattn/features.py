@@ -150,18 +150,6 @@ def read_wav(path) -> Waveform:
     return Waveform(samples=samples, sample_rate=sample_rate)
 
 
-def write_wav(path, samples: np.ndarray, sample_rate: int = 16000) -> None:
-    """Write float samples in [-1, 1] as 16-bit PCM mono."""
-    pcm = np.clip(np.asarray(samples, dtype=np.float64), -1.0, 1.0)
-    pcm = (pcm * 32767.0).round().astype("<i2")
-    payload = pcm.tobytes()
-    hdr = (b"RIFF" + struct.pack("<I", 36 + len(payload)) + b"WAVE"
-           + b"fmt " + struct.pack("<IHHIIHH", 16, 1, 1, sample_rate,
-                                   sample_rate * 2, 2, 16)
-           + b"data" + struct.pack("<I", len(payload)))
-    Path(path).write_bytes(hdr + payload)
-
-
 # ---------------------------------------------------------------------------
 # log-mel extraction
 # ---------------------------------------------------------------------------
@@ -218,8 +206,7 @@ def mvn(fm: FeatureMatrix) -> FeatureMatrix:
     return FeatureMatrix(values=out, source=fm.source)
 
 
-def crop(fm: FeatureMatrix, seconds: float = 2.0, rng=None,
-         frames_per_second: float = 100.0) -> FeatureMatrix:
+def crop(fm: FeatureMatrix, seconds: float, rng, frames_per_second: float) -> FeatureMatrix:
     """Random fixed-length window; shorter inputs wrap around."""
     target = int(round(seconds * frames_per_second))
     t = fm.n_frames
@@ -228,7 +215,6 @@ def crop(fm: FeatureMatrix, seconds: float = 2.0, rng=None,
     if t < target:
         idx = np.arange(target) % t
         return FeatureMatrix(values=fm.values[:, idx], source=fm.source)
-    rng = np.random.default_rng(0) if rng is None else rng
     start = int(rng.integers(0, t - target + 1))
     return FeatureMatrix(values=fm.values[:, start:start + target], source=fm.source)
 
@@ -306,8 +292,8 @@ def write_feat(path, fm: FeatureMatrix) -> None:
     Path(path).write_bytes(blob)
 
 
-def read_feat(path, n_mels=None) -> FeatureMatrix:
-    """A FEAT file's matrix; with `n_mels`, a FormatError unless it has that many bins."""
+def read_feat(path, n_mels: int) -> FeatureMatrix:
+    """A FEAT file's matrix; a FormatError unless it has `n_mels` bins."""
     raw = Path(path).read_bytes()
     if raw[:4] != FEAT_MAGIC:
         raise FormatError(f"{path}: not a FEAT file")
@@ -322,7 +308,7 @@ def read_feat(path, n_mels=None) -> FeatureMatrix:
     dims = struct.unpack_from("<2I", raw, 12)
     if 0 in dims:
         raise FormatError(f"{path}: empty {dims[0]}x{dims[1]} feature matrix")
-    if n_mels is not None and dims[0] != n_mels:
+    if dims[0] != n_mels:
         raise FormatError(f"{path}: {dims[0]} mel bins, config has features.n_mels = {n_mels}")
     payload = raw[FEAT_HEADER_BYTES:]
     expect = 8 * dims[0] * dims[1]

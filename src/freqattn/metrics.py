@@ -64,8 +64,7 @@ def _roc(tgt, non):
     The first point has (p_miss, p_fa) = (0, 1); a final point one step past
     the maximum pins down (1, 0).
     """
-    tgt = np.sort(np.asarray(tgt, dtype=np.float64))
-    non = np.sort(np.asarray(non, dtype=np.float64))
+    tgt, non = np.sort(tgt), np.sort(non)     # float64, from _split_scores
     levels = np.unique(np.concatenate([tgt, non]))
     thresholds = np.append(levels, levels[-1] + 1.0)
     p_miss = np.searchsorted(tgt, thresholds, side="left") / tgt.size
@@ -91,18 +90,9 @@ def _min_dcf(p_miss, p_fa) -> float:
     return best / min(P_TARGET, 1.0 - P_TARGET)
 
 
-def eer_from_scores(target_scores, nontarget_scores):
-    """(EER, threshold) by linear interpolation at the miss/false-alarm crossing."""
-    return _eer(*_roc(target_scores, nontarget_scores))
-
-
-def min_dcf_from_scores(target_scores, nontarget_scores) -> float:
-    _, p_miss, p_fa = _roc(target_scores, nontarget_scores)
-    return _min_dcf(p_miss, p_fa)
-
-
 def compute_eer(trials):
-    return eer_from_scores(*_split_scores(trials))
+    """(EER, threshold) by linear interpolation at the miss/false-alarm crossing."""
+    return _eer(*_roc(*_split_scores(trials)))
 
 
 def evaluate_trials(trials) -> EvalMetrics:

@@ -24,6 +24,9 @@ from .tensor import Parameter, conv2d, conv2d_backward, relu, relu_backward
 
 CKPT_MAGIC = b"FAMC"
 CKPT_VERSION = 1
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass
@@ -115,7 +118,7 @@ def _forward(net: SpeakerNet, x: np.ndarray, cache: Optional[_ForwardCache]):
     h = x
     for st in net.stages:
         act = relu(conv2d(h, st.conv.value, st.stride, st.pad))
-        _, y, state = attention.forward(st.block, act, return_state=True)
+        _, y, state = attention.forward(st.block, act)
         if cache is not None:
             cache.stage_inputs.append(h)
             cache.stage_attn.append(state)
@@ -250,13 +253,9 @@ def aam_loss(head: AamHead, emb: np.ndarray, label: int) -> AamResult:
 class Adam:
     """Standard Adam with bias correction; state keyed by parameter identity."""
 
-    def __init__(self, params, lr: float = 1e-3, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params, lr: float):
         self.params = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = [np.zeros_like(p.value) for p in self.params]
         self.v = [np.zeros_like(p.value) for p in self.params]
@@ -265,11 +264,11 @@ class Adam:
         self.t += 1
         for i, p in enumerate(self.params):
             g = p.grad
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * g * g
-            m_hat = self.m[i] / (1.0 - self.beta1 ** self.t)
-            v_hat = self.v[i] / (1.0 - self.beta2 ** self.t)
-            p.value -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            self.m[i] = ADAM_BETA1 * self.m[i] + (1.0 - ADAM_BETA1) * g
+            self.v[i] = ADAM_BETA2 * self.v[i] + (1.0 - ADAM_BETA2) * g * g
+            m_hat = self.m[i] / (1.0 - ADAM_BETA1 ** self.t)
+            v_hat = self.v[i] / (1.0 - ADAM_BETA2 ** self.t)
+            p.value -= self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
     def zero_grad(self) -> None:
         for p in self.params:
@@ -338,11 +337,10 @@ def train_epoch(net: SpeakerNet, head: AamHead, examples, opts: TrainOptions,
     return EpochMetrics(mean_loss=total_loss / n, accuracy=correct / n)
 
 
-def train(net: SpeakerNet, head: AamHead, examples, opts: TrainOptions,
-          seed: int = 0, rng=None, log=None) -> List[EpochMetrics]:
-    """Run the configured number of epochs; rng (or seed) drives shuffles and crops."""
+def train(net: SpeakerNet, head: AamHead, examples, opts: TrainOptions, rng,
+          log=None) -> List[EpochMetrics]:
+    """Run the configured number of epochs; rng drives shuffles, crops and masks."""
     optimizer = Adam(net.parameters() + head.parameters(), lr=opts.lr)
-    rng = np.random.default_rng(seed) if rng is None else rng
     history = []
     for epoch in range(1, opts.epochs + 1):
         metrics = train_epoch(net, head, examples, opts, optimizer, rng)
@@ -375,7 +373,8 @@ def load_checkpoint(path):
     """Return (config_text, ordered list of (name, array)).
 
     A file cut short raises FormatError naming the path and the byte offset
-    of the first field that runs past its end.
+    of the first field that runs past its end; a non-finite parameter value
+    raises NumericError naming the path and the parameter.
     """
     raw = Path(path).read_bytes()
     pos = 0
@@ -413,6 +412,11 @@ def load_checkpoint(path):
         (rank,) = u32s(1, f"rank of {name}")
         dims = u32s(rank, f"shape of {name}")
         values = np.frombuffer(take(8 * math.prod(dims), f"values of {name}"), dtype="<f8")
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            at = [int(i) for i in np.unravel_index(bad[0], dims)]
+            raise NumericError(f"{path}: non-finite value {values[bad[0]]} in {name} at "
+                               f"{at} ({bad.size} in all)")
         entries.append((name, values.reshape(dims).astype(np.float64)))
     return config_text, entries
 

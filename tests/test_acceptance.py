@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 from gradcheck import grad_check
+from wavfile import write_wav
 
 from freqattn import attention as attn
 from freqattn import cli
@@ -77,9 +78,9 @@ def test_criterion_3_special_case_reduction(acceptance_report):
             block.w1.value = se.w1.value.copy()
             block.w2.value = se.w2.value.copy()
         x = rng.standard_normal((8, 4, 6))
-        s_se, _ = attn.forward(se, x)
-        s_sf, _ = attn.forward(sfsc, x)
-        s_mf, _ = attn.forward(mfsc, x)
+        s_se, _, _ = attn.forward(se, x)
+        s_sf, _, _ = attn.forward(sfsc, x)
+        s_mf, _, _ = attn.forward(mfsc, x)
         worst = max(worst, float(np.max(np.abs(s_sf - s_se))),
                     float(np.max(np.abs(s_mf - s_se))))
     acceptance_report(3, "SFSC/MFSC reduce to SE at the lowest frequency", worst < 1e-12,
@@ -92,17 +93,17 @@ def _grad_block(variant, seed, **kw):
     x0 = rng.standard_normal((8, 4, 6))
 
     def f_x(x):
-        _, y, state = attn.forward(block, x, return_state=True)
+        _, y, state = attn.forward(block, x)
         return y, lambda dy: attn.attention_backward(block, state, dy)[0]
 
     def f_w1(v):
         block.w1.value = v
-        _, y, state = attn.forward(block, x0, return_state=True)
+        _, y, state = attn.forward(block, x0)
         return y, lambda dy: attn.attention_backward(block, state, dy)[1]
 
     def f_w2(v):
         block.w2.value = v
-        _, y, state = attn.forward(block, x0, return_state=True)
+        _, y, state = attn.forward(block, x0)
         return y, lambda dy: attn.attention_backward(block, state, dy)[2]
 
     errs = [grad_check(f_x, x0, rng=rng).max_rel_err,
@@ -259,10 +260,13 @@ def test_criterion_6_metric_oracle(acceptance_report):
         n_n = int(rng.integers(1, 26))
         tgt = rng.normal(0.4, 1.0, n_t)
         non = rng.normal(-0.4, 1.0, n_n)
-        eer, _ = mt.eer_from_scores(tgt, non)
-        worst = max(worst, abs(eer - _eer_oracle(tgt, non)))
-        worst = max(worst, abs(mt.min_dcf_from_scores(tgt, non)
-                               - _min_dcf_oracle(tgt, non)))
+        trials = [mt.Trial(1, "e", "t", s) for s in tgt]
+        trials += [mt.Trial(0, "e", "t", s) for s in non]
+        result = mt.evaluate_trials(trials)
+        eer_oracle = _eer_oracle(tgt, non)
+        worst = max(worst, abs(result.eer - eer_oracle),
+                    abs(mt.compute_eer(trials)[0] - eer_oracle),
+                    abs(result.min_dcf - _min_dcf_oracle(tgt, non)))
     four = [mt.Trial(1, "a", "b", 0.9), mt.Trial(1, "c", "d", 0.2),
             mt.Trial(0, "e", "f", 0.8), mt.Trial(0, "g", "h", 0.1)]
     eer4, _ = mt.compute_eer(four)
@@ -345,7 +349,7 @@ def test_criterion_8_feature_recipe(tmp_path, acceptance_report):
 
     samples = rng.uniform(-0.5, 0.5, 24000)
     wav_path = tmp_path / "probe.wav"
-    feats.write_wav(wav_path, samples)
+    write_wav(wav_path, samples)
     runs = []
     for i in range(2):
         fm_i = feats.mvn(feats.logmel(feats.read_wav(wav_path)))

@@ -43,7 +43,7 @@ class TestSeForward:
         block.w1.value[...] = 0.0
         block.w2.value[...] = 0.0
         x = np.random.default_rng(0).standard_normal((4, 3, 5))
-        s, y = attn.forward(block, x)
+        s, y, _ = attn.forward(block, x)
         assert np.allclose(s, 0.5)
         assert np.allclose(y, 0.5 * x)
 
@@ -52,7 +52,7 @@ class TestSeForward:
         block.w1.value = np.eye(2)
         block.w2.value = np.eye(2)
         x = np.ones((2, 3, 4))
-        s, y = attn.forward(block, x)
+        s, y, _ = attn.forward(block, x)
         assert np.allclose(s, 0.7310585786300049, atol=1e-12)  # sigmoid(1)
         assert np.allclose(y, 0.7310585786300049)
 
@@ -71,8 +71,8 @@ class TestSfscForward:
                             indices=[(0, 0)] * 4)
             copy_weights(se, sf)
             x = rng.standard_normal((8, 4, 6))
-            s_se, y_se = attn.forward(se, x)
-            s_sf, y_sf = attn.forward(sf, x)
+            s_se, y_se, _ = attn.forward(se, x)
+            s_sf, y_sf, _ = attn.forward(sf, x)
             assert np.max(np.abs(s_se - s_sf)) < 1e-12
             assert np.max(np.abs(y_se - y_sf)) < 1e-12
 
@@ -83,7 +83,7 @@ class TestSfscForward:
                            indices=[(0, 0), (0, 1)])
         x = np.array([[[1.0, 2.0], [3.0, 4.0]],
                       [[1.0, -1.0], [1.0, -1.0]]])
-        _, _, state = attn.forward(block, x, return_state=True)
+        _, _, state = attn.forward(block, x)
         assert np.allclose(state.zs[0], [2.5, 0.7071067811865476], atol=1e-12)
         assert np.allclose(state.zs[0],
                            squeeze_naive(x, [(0, 0), (0, 1)], 2, 2), atol=1e-12)
@@ -105,8 +105,8 @@ class TestSfscForward:
         other.w1.value = block.w1.value[:, perm]
         other.w2.value = block.w2.value[perm, :]
         x = rng.standard_normal((6, 4, 4))
-        s, y = attn.forward(block, x)
-        s2, y2 = attn.forward(other, x[perm])
+        s, y, _ = attn.forward(block, x)
+        s2, y2, _ = attn.forward(other, x[perm])
         assert np.allclose(s2, s[perm], atol=1e-12)
         assert np.allclose(y2, y[perm], atol=1e-12)
 
@@ -119,8 +119,8 @@ class TestMfscForward:
                         indices=[(0, 0)], aggregation="avg")
         copy_weights(se, mf)
         x = rng.standard_normal((8, 4, 6))
-        s_se, _ = attn.forward(se, x)
-        s_mf, _ = attn.forward(mf, x)
+        s_se, _, _ = attn.forward(se, x)
+        s_mf, _, _ = attn.forward(mf, x)
         assert np.max(np.abs(s_se - s_mf)) < 1e-12
 
     def test_k1_avg_max_doubles_preactivation(self):
@@ -128,7 +128,7 @@ class TestMfscForward:
         block = make_block("mfsc", channels=8, reduction=4,
                            indices=[(0, 0)], aggregation="avg_max", seed=5)
         x = rng.standard_normal((8, 4, 6))
-        s, _ = attn.forward(block, x)
+        s, _, _ = attn.forward(block, x)
         z = dct.gap(x)
         expected = tz.sigmoid(2.0 * (block.w2.value @ tz.relu(block.w1.value @ z)))
         assert np.allclose(s, expected, atol=1e-12)
@@ -138,7 +138,7 @@ class TestMfscForward:
         x = np.broadcast_to(consts[:, None, None], (3, 4, 4)).copy()
         block = make_block("mfsc", channels=3, reduction=1,
                            indices=[(0, 0), (0, 1), (1, 0)], aggregation="max")
-        _, _, state = attn.forward(block, x, return_state=True)
+        _, _, state = attn.forward(block, x)
         # non-constant planes reduce a constant channel to 0, so max(z, 0)
         assert np.allclose(state.zs[0], np.maximum(consts, 0.0), atol=1e-12)
 
@@ -163,14 +163,14 @@ class TestBackward:
     def test_zero_cotangent_gives_zero_grads(self):
         block = make_block("mfsc", k=4, aggregation="avg_max")
         x = np.random.default_rng(5).standard_normal((8, 4, 6))
-        _, _, state = attn.forward(block, x, return_state=True)
+        _, _, state = attn.forward(block, x)
         dx, dw1, dw2 = attn.attention_backward(block, state, np.zeros_like(x))
         assert not dx.any() and not dw1.any() and not dw2.any()
 
     def test_state_shape_mismatch(self):
         block = make_block("se")
         x = np.zeros((8, 4, 6))
-        _, _, state = attn.forward(block, x, return_state=True)
+        _, _, state = attn.forward(block, x)
         with pytest.raises(DimensionError):
             attn.attention_backward(block, state, np.zeros((8, 4, 5)))
 
@@ -187,17 +187,17 @@ class TestBackward:
         x0 = rng.standard_normal((8, 4, 6))
 
         def f_x(x):
-            _, y, state = attn.forward(block, x, return_state=True)
+            _, y, state = attn.forward(block, x)
             return y, lambda dy: attn.attention_backward(block, state, dy)[0]
 
         def f_w1(v):
             block.w1.value = v
-            _, y, state = attn.forward(block, x0, return_state=True)
+            _, y, state = attn.forward(block, x0)
             return y, lambda dy: attn.attention_backward(block, state, dy)[1]
 
         def f_w2(v):
             block.w2.value = v
-            _, y, state = attn.forward(block, x0, return_state=True)
+            _, y, state = attn.forward(block, x0)
             return y, lambda dy: attn.attention_backward(block, state, dy)[2]
 
         assert grad_check(f_x, x0, rng=rng).passed
@@ -234,7 +234,7 @@ class TestAttentionRange:
             kw["aggregation"] = "avg_max"
         block = attn.AttentionBlock(variant, 4, 2, rng=rng, **kw)
         x = 10.0 * rng.standard_normal((4, 3, 3))
-        s, _ = attn.forward(block, x)
+        s, _, _ = attn.forward(block, x)
         assert np.all(s > 0.0) and np.all(s < 1.0)
 
 
@@ -295,7 +295,7 @@ class TestOracleParity:
                                     rng=rng)
         x = np.maximum(rng.standard_normal(shape), 0.0)   # post-ReLU, as in the net
         dy = rng.standard_normal(shape)
-        s, y, state = attn.forward(block, x, return_state=True)
+        s, y, state = attn.forward(block, x)
         dx, dw1, dw2 = attn.attention_backward(block, state, dy)
         for got, want in zip((s, y, dx, dw1, dw2), attention_oracle(block, x, dy)):
             assert within_rel(got, want, 1e-12)
@@ -325,7 +325,7 @@ class TestSeSqueezeBuildsNoPlanes:
         for shape, _ in PARITY_SHAPES:
             block = attn.AttentionBlock("se", shape[0], 8, rng=rng)
             x = rng.standard_normal(shape)
-            _, y, state = attn.forward(block, x, return_state=True)
+            _, y, state = attn.forward(block, x)
             dx, _, _ = attn.attention_backward(block, state, rng.standard_normal(shape))
             assert state.planes is None
             assert np.all(np.isfinite(y)) and np.all(np.isfinite(dx))

@@ -7,10 +7,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 from test_dct import perturb_second_plane
+from wavfile import write_wav
 
 from freqattn import cli
 from freqattn import config as cfgmod
 from freqattn import features as feats
+from freqattn import metrics as mt
 from freqattn import speakernet as sn
 from freqattn.errors import ParseError
 
@@ -127,8 +129,7 @@ class TestExtract:
     def write_wavs(self, d, n=3, seconds=0.6):
         rng = np.random.default_rng(0)
         for i in range(n):
-            feats.write_wav(d / f"u{i}.wav",
-                            rng.uniform(-0.5, 0.5, int(16000 * seconds)))
+            write_wav(d / f"u{i}.wav", rng.uniform(-0.5, 0.5, int(16000 * seconds)))
 
     def test_extracts_all_valid_files(self, tmp_path, capsys):
         in_dir = tmp_path / "wav"
@@ -179,7 +180,7 @@ class TestExtract:
         in_dir = tmp_path / "wav"
         in_dir.mkdir()
         wav = in_dir / "bad.wav"
-        feats.write_wav(wav, np.full(n_samples, 0.1), sample_rate=rate)
+        write_wav(wav, np.full(n_samples, 0.1), sample_rate=rate)
         rc = cli.main(["extract", "--in", str(in_dir), "--out", str(tmp_path / "feat")])
         err = capsys.readouterr().err
         assert rc == 1
@@ -348,7 +349,7 @@ class TestTrain:
         elif damage == "zero_bins":
             feats.write_feat(bad, feats.FeatureMatrix(np.zeros((0, 200))))
         else:
-            fm = feats.read_feat(bad)
+            fm = feats.read_feat(bad, 64)
             fm.values[5, 7] = np.nan
             feats.write_feat(bad, fm)
         (tmp_path / "train.txt").write_text("\n".join(lines) + "\n")
@@ -418,6 +419,27 @@ class TestScoreAndMetrics:
         assert capsys.readouterr().err == (
             f"error: {trials}: line 2: expected 3 fields, got 2\n")
         assert not (tmp_path / "s.txt").exists()
+
+    def test_wav_trial_ids_find_extracted_features(self, trained_checkpoint, tmp_path,
+                                                   capsys):
+        # extract writes u0.wav as u0.feat; score looks a .wav trial id up by its stem
+        _, ckpt = trained_checkpoint
+        wav_dir, feat_dir = tmp_path / "wav", tmp_path / "feat"
+        wav_dir.mkdir()
+        rng = np.random.default_rng(1)
+        for name in ("u0.wav", "u1.wav"):
+            write_wav(wav_dir / name, rng.uniform(-0.5, 0.5, 9600))
+        assert cli.main(["extract", "--in", str(wav_dir), "--out", str(feat_dir)]) == 0
+        trials = tmp_path / "trials.txt"
+        trials.write_text("1 u0.wav u0.wav\n0 u0.wav u1.wav\n")
+        scores = tmp_path / "s.txt"
+        assert cli.main(["score", "--checkpoint", str(ckpt), "--trials", str(trials),
+                         "--features", str(feat_dir), "--out", str(scores)]) == 0
+        scored = mt.parse_scores(scores.read_text())
+        assert [(t.label, t.enroll, t.test) for t in scored] == [
+            (1, "u0.wav", "u0.wav"), (0, "u0.wav", "u1.wav")]
+        assert all(np.isfinite(t.score) for t in scored)
+        assert scored[0].score == 1.0 and scored[1].score < 1.0
 
     def test_unknown_trial_id_fails_with_name(self, synth_dir, trained_checkpoint,
                                               tmp_path, capsys):
@@ -628,7 +650,28 @@ class TestScoreRejectsBadInputs:
              "--features", str(synth_dir / "feats"), "--out", str(scores)],
             capture_output=True, text=True, env=env)
         assert proc.returncode == 1
-        assert proc.stderr == f"error: {synth_dir / 'feats' / first}: non-finite embedding\n"
+        if damage == "nan_weight":      # rejected as the checkpoint is read
+            assert proc.stderr == (f"error: {ckpt}: non-finite value nan in stage0.conv.w "
+                                   f"at [0, 0, 1, 1] (1 in all)\n")
+        else:                           # finite weights whose embeddings overflow
+            assert proc.stderr == (f"error: {synth_dir / 'feats' / first}: "
+                                   f"non-finite embedding\n")
+        assert not scores.exists()
+
+    def test_zero_norm_embedding_names_feature_file(self, synth_dir, tmp_path, capsys):
+        cfg = tiny_run_config()
+        cfg.network.num_speakers = 4
+        net = sn.SpeakerNet(cfg.network)
+        net.proj.value[...] = 0.0           # every embedding is the zero vector
+        ckpt = tmp_path / "model.ckpt"
+        sn.save_checkpoint(ckpt, cfgmod.serialize_config(cfg),
+                           net.parameters() + sn.AamHead(4, 16).parameters())
+        first = (synth_dir / "trials.txt").read_text().split()[1]
+        scores = tmp_path / "s.txt"
+        rc = self.score(ckpt, synth_dir / "trials.txt", synth_dir / "feats", scores)
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {synth_dir / 'feats' / first}: zero-norm embedding\n")
         assert not scores.exists()
 
 
@@ -678,7 +721,7 @@ def test_bad_config_value_is_one_named_error(synth_dir, tmp_path, capsys, comman
     else:
         wav_dir = tmp_path / "wav"
         wav_dir.mkdir()
-        feats.write_wav(wav_dir / "u0.wav", np.zeros(8000))
+        write_wav(wav_dir / "u0.wav", np.zeros(8000))
         argv = ["extract", "--in", str(wav_dir), "--out", str(out), "--config",
                 str(cfg_path)]
     rc = cli.main(argv)
@@ -787,7 +830,7 @@ def _train_config_is_directory(w):
 
 def _extract_out_is_file(w):
     (w.tmp / "wav").mkdir()
-    feats.write_wav(w.tmp / "wav" / "u0.wav", np.zeros(8000))
+    write_wav(w.tmp / "wav" / "u0.wav", np.zeros(8000))
     out = w.tmp / "taken"
     out.write_text("")
     return ["extract", "--in", str(w.tmp / "wav"), "--out", str(out)], f"{out}: File exists"

@@ -3,6 +3,7 @@ import struct
 
 import numpy as np
 import pytest
+from wavfile import write_wav
 
 from freqattn import features as feats
 from freqattn.errors import ConfigError, DimensionError, FormatError, NumericError
@@ -67,7 +68,7 @@ class TestReadWav:
         rng = np.random.default_rng(0)
         samples = rng.uniform(-0.9, 0.9, 1000)
         p = tmp_path / "r.wav"
-        feats.write_wav(p, samples, 16000)
+        write_wav(p, samples, 16000)
         wave = feats.read_wav(p)
         # write scales by 32767, read divides by 32768: bound is (0.5+|x|)/32768
         assert np.max(np.abs(wave.samples - samples)) < 1.5 / 32768
@@ -158,19 +159,19 @@ class TestMvn:
 class TestCrop:
     def test_seeded_slice_is_deterministic(self):
         fm = feats.FeatureMatrix(np.arange(64.0 * 500).reshape(64, 500))
-        a = feats.crop(fm, rng=np.random.default_rng(5))
-        b = feats.crop(fm, rng=np.random.default_rng(5))
+        a = feats.crop(fm, 2.0, np.random.default_rng(5), 100.0)
+        b = feats.crop(fm, 2.0, np.random.default_rng(5), 100.0)
         assert a.values.shape == (64, 200)
         assert np.array_equal(a.values, b.values)
 
     def test_exact_length_is_identity(self):
         fm = feats.FeatureMatrix(np.random.default_rng(6).standard_normal((64, 200)))
-        out = feats.crop(fm, rng=np.random.default_rng(0))
+        out = feats.crop(fm, 2.0, np.random.default_rng(0), 100.0)
         assert np.array_equal(out.values, fm.values)
 
     def test_short_input_wraps(self):
         fm = feats.FeatureMatrix(np.tile(np.arange(90.0), (4, 1)))
-        out = feats.crop(fm, rng=np.random.default_rng(0))
+        out = feats.crop(fm, 2.0, np.random.default_rng(0), 100.0)
         expected = np.concatenate([np.arange(90.0), np.arange(90.0), np.arange(20.0)])
         assert np.array_equal(out.values[0], expected)
 
@@ -240,7 +241,7 @@ class TestFeatFile:
         fm = feats.FeatureMatrix(np.random.default_rng(14).standard_normal((64, 37)))
         p = tmp_path / "x.feat"
         feats.write_feat(p, fm)
-        back = feats.read_feat(p)
+        back = feats.read_feat(p, 64)
         assert np.array_equal(back.values, fm.values)
         assert back.source == "x"
 
@@ -255,7 +256,7 @@ class TestFeatFile:
         p = tmp_path / "bad.feat"
         p.write_bytes(b"NOPE" + b"\x00" * 32)
         with pytest.raises(FormatError):
-            feats.read_feat(p)
+            feats.read_feat(p, 64)
 
     def test_header_cut_at_every_offset(self, tmp_path):
         p = tmp_path / "h.feat"
@@ -265,7 +266,7 @@ class TestFeatFile:
             p.write_bytes(blob[:size])
             expected = "not a FEAT file" if size < 4 else f"byte {size} of 20"
             with pytest.raises(FormatError, match=re.escape(f"{p}: ") + ".*" + expected):
-                feats.read_feat(p)
+                feats.read_feat(p, 2)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_payload_names_file_and_cell(self, tmp_path, bad):
@@ -274,7 +275,7 @@ class TestFeatFile:
         p = tmp_path / "n.feat"
         feats.write_feat(p, feats.FeatureMatrix(values))
         with pytest.raises(NumericError, match=re.escape(f"{p}: ") + ".*bin 2 frame 3"):
-            feats.read_feat(p)
+            feats.read_feat(p, 4)
 
     @pytest.mark.parametrize("shape", [(64, 0), (0, 200), (0, 0)])
     def test_zero_dimension_names_file_and_dims(self, tmp_path, shape):
@@ -282,7 +283,7 @@ class TestFeatFile:
         feats.write_feat(p, feats.FeatureMatrix(np.zeros(shape)))
         expected = f"{p}: empty {shape[0]}x{shape[1]} feature matrix"
         with pytest.raises(FormatError, match=re.escape(expected)):
-            feats.read_feat(p)
+            feats.read_feat(p, 64)
 
     def test_truncated_payload(self, tmp_path):
         fm = feats.FeatureMatrix(np.zeros((4, 4)))
@@ -290,4 +291,4 @@ class TestFeatFile:
         feats.write_feat(p, fm)
         p.write_bytes(p.read_bytes()[:-8])
         with pytest.raises(FormatError, match="payload"):
-            feats.read_feat(p)
+            feats.read_feat(p, 4)

@@ -8,6 +8,7 @@ files are read the way the CLI reads them, inside `naming`.
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from wavfile import write_wav
 
 from freqattn import config as cfgmod
 from freqattn import features as feats
@@ -30,7 +31,7 @@ def _read_checkpoint(path):
 
 
 READERS = {
-    "feat": feats.read_feat,
+    "feat": lambda path: feats.read_feat(path, 4),     # the valid file's bin count
     "checkpoint": _read_checkpoint,
     "wav": feats.read_wav,
     "config": _read_text(cfgmod.parse_config),
@@ -45,7 +46,7 @@ def valid(tmp_path_factory):
     work = tmp_path_factory.mktemp("valid")
     rng = np.random.default_rng(0)
     feats.write_feat(work / "feat", feats.FeatureMatrix(rng.standard_normal((4, 3))))
-    feats.write_wav(work / "wav", rng.uniform(-0.5, 0.5, 16))
+    write_wav(work / "wav", rng.uniform(-0.5, 0.5, 16))
     cfg = cfgmod.RunConfig()
     cfg.network.stages = ((2, 3, 2),)
     cfg.network.embedding_dim = 2

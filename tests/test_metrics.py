@@ -91,7 +91,7 @@ class TestEer:
             n_n = int(rng.integers(1, 26))
             tgt = rng.normal(0.5, 1.0, n_t)
             non = rng.normal(-0.5, 1.0, n_n)
-            got, _ = mt.eer_from_scores(tgt, non)
+            got = mt.evaluate_trials(scored(tgt, non)).eer
             assert got == pytest.approx(eer_brute_force(tgt, non), abs=1e-6)
 
 
@@ -112,7 +112,7 @@ class TestMinDcf:
         for _ in range(100):
             tgt = rng.normal(0.5, 1.0, int(rng.integers(1, 26)))
             non = rng.normal(-0.5, 1.0, int(rng.integers(1, 26)))
-            got = mt.min_dcf_from_scores(tgt, non)
+            got = mt.evaluate_trials(scored(tgt, non)).min_dcf
             assert got == pytest.approx(min_dcf_brute_force(tgt, non), abs=1e-6)
 
     def test_never_exceeds_dcf_at_eer_threshold(self):
@@ -144,8 +144,7 @@ class TestGolden:
         ([0.5, 0.5], [0.5], (0.5, 1.0, 1.0)),
     ])
     def test_exact_values(self, tgt, non, expected):
-        eer, threshold = mt.eer_from_scores(tgt, non)
-        assert (eer, threshold, mt.min_dcf_from_scores(tgt, non)) == expected
+        assert mt.compute_eer(scored(tgt, non)) == expected[:2]
         m = mt.evaluate_trials(scored(tgt, non))
         assert (m.eer, m.eer_threshold, m.min_dcf) == expected
 
@@ -158,11 +157,10 @@ class TestInvariances:
         rng = np.random.default_rng(seed)
         tgt = rng.normal(0.2, 1.0, 15)
         non = rng.normal(-0.2, 1.0, 15)
-        eer1, _ = mt.eer_from_scores(tgt, non)
-        eer2, _ = mt.eer_from_scores(a * tgt + b, a * non + b)
-        assert eer1 == pytest.approx(eer2, abs=1e-12)
-        assert mt.min_dcf_from_scores(tgt, non) == pytest.approx(
-            mt.min_dcf_from_scores(a * tgt + b, a * non + b), abs=1e-12)
+        m1 = mt.evaluate_trials(scored(tgt, non))
+        m2 = mt.evaluate_trials(scored(a * tgt + b, a * non + b))
+        assert m1.eer == pytest.approx(m2.eer, abs=1e-12)
+        assert m1.min_dcf == pytest.approx(m2.min_dcf, abs=1e-12)
 
     def test_cubic_map_preserves_metrics(self):
         rng = np.random.default_rng(3)
@@ -172,8 +170,8 @@ class TestInvariances:
         def cubic(x):
             return x ** 3 + x  # strictly increasing
 
-        eer1, _ = mt.eer_from_scores(tgt, non)
-        eer2, _ = mt.eer_from_scores(cubic(tgt), cubic(non))
+        eer1 = mt.evaluate_trials(scored(tgt, non)).eer
+        eer2 = mt.evaluate_trials(scored(cubic(tgt), cubic(non))).eer
         assert eer1 == pytest.approx(eer2, abs=1e-12)
 
     def test_label_swap_score_negation_symmetry(self):
@@ -181,8 +179,8 @@ class TestInvariances:
         for _ in range(20):
             tgt = rng.normal(0.4, 1.0, 12)
             non = rng.normal(-0.4, 1.0, 17)
-            eer1, _ = mt.eer_from_scores(tgt, non)
-            eer2, _ = mt.eer_from_scores(-non, -tgt)
+            eer1 = mt.evaluate_trials(scored(tgt, non)).eer
+            eer2 = mt.evaluate_trials(scored(-non, -tgt)).eer
             assert eer1 == pytest.approx(eer2, abs=1e-9)
 
 
