@@ -80,10 +80,10 @@ def cmd_extract(args) -> int:
         try:
             wave = feats.read_wav(wav)      # its errors already name the file
             with naming(wav):
-                fm = feats.logmel(wave, cfg.mel)
+                x = feats.logmel(wave, cfg.mel)
                 if cfg.mvn:
-                    fm = feats.mvn(fm)
-            feats.write_feat(out_dir / (wav.stem + ".feat"), fm)
+                    x = feats.mvn(x)
+            feats.write_feat(out_dir / (wav.stem + ".feat"), x)
         except (FreqattnError, OSError) as exc:
             _report(exc)
             failures += 1
@@ -107,7 +107,9 @@ def _load_train_examples(cfg):
             files.append(base / parts[1])
         if not labels:
             raise ConfigError("empty training list")
-    speakers = sorted(set(labels))
+        speakers = sorted(set(labels))
+        if len(speakers) < 2:
+            raise ConfigError(f"one speaker ({speakers[0]}); training needs at least 2")
     index = {s: i for i, s in enumerate(speakers)}
     examples = [(index[label], feats.read_feat(path, cfg.mel.n_mels))
                 for label, path in zip(labels, files)]
@@ -174,18 +176,18 @@ def cmd_score(args) -> int:
     cfg, net = _load_model(args.checkpoint)
     with naming(args.trials):
         trials = mt.parse_trials(Path(args.trials).read_text())
-    if not trials:
-        raise ConfigError(f"{args.trials}: empty trial list")
+        if not trials:
+            raise ConfigError("empty trial list")
     features_dir = Path(args.features)
     embeddings = {}
     for trial in trials:
         for tid in (trial.enroll, trial.test):
             if tid not in embeddings:
                 path = _feature_path(features_dir, tid)
-                fm = feats.read_feat(path, cfg.mel.n_mels)
+                x = feats.read_feat(path, cfg.mel.n_mels)
                 # a non-finite embedding is reported below, not warned about
                 with naming(path), np.errstate(over="ignore", invalid="ignore"):
-                    emb = sn.forward_embed(net, fm.values[None, :, :])
+                    emb = sn.forward_embed(net, x[None, :, :])
                     if not np.all(np.isfinite(emb)):
                         raise NumericError("non-finite embedding")
                     if np.linalg.norm(emb) == 0.0:     # what cosine_score rejects
@@ -221,11 +223,9 @@ def cmd_synth(args) -> int:
     train_lines = []
     test_ids = {}
     for utt in data:
-        fm = feats.mvn(utt.features)
-        name = f"{fm.source}.feat"
-        feats.write_feat(feat_dir / name, fm)
-        utt_index = int(fm.source.split("_utt")[1])
-        if utt_index < args.utts - args.test_utts:
+        name = f"spk{utt.speaker:03d}_utt{utt.utt:03d}.feat"
+        feats.write_feat(feat_dir / name, feats.mvn(utt.features))
+        if utt.utt < args.utts - args.test_utts:
             train_lines.append(f"spk{utt.speaker:03d} feats/{name}")
         else:
             test_ids.setdefault(utt.speaker, []).append(name)

@@ -43,6 +43,9 @@ class RunConfig:
 
     def __post_init__(self):
         check_seed(self.seed, "seed")
+        if self.network.in_channels != 1:     # the CLI feeds one feature plane
+            raise ConfigError(f"network.in_channels must be 1 for log-mel features, "
+                              f"got {self.network.in_channels}")
         if not (self.margin >= 0.0 and self.scale > 0.0):
             raise ConfigError(f"margin must be >= 0 and scale > 0, got "
                               f"{self.margin} and {self.scale}")

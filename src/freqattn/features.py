@@ -3,8 +3,10 @@
 Pipeline: 16 kHz PCM WAV -> 64-dim log mel-filterbank energies (25 ms
 frames, 10 ms shift, Hamming window, power spectrum, HTK mel scale,
 log floor 1e-10) -> per-bin mean/variance normalization -> fixed-length
-crops. Masking augmentation and a synthetic labeled dataset generator
-live here too. Everything is deterministic given the caller's rng.
+crops, each a plain (n_mels, T) float64 array. Masking augmentation, a
+synthetic labeled dataset generator and the array-record codec that FEAT
+files and checkpoints share live here too. Everything is deterministic
+given the caller's rng.
 """
 
 from __future__ import annotations
@@ -17,12 +19,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, FormatError, NumericError
-from .tensor import tensor
+from .errors import ConfigError, DimensionError, FormatError, NumericError, naming
 
 FEAT_MAGIC = b"FEAT"
 FEAT_VERSION = 1
-FEAT_HEADER_BYTES = 20       # magic, u32 version, u32 rank, two u32 dims
 MAX_N_FFT = 65536            # 4 s frames at 16 kHz; far above any speech front end
 
 
@@ -87,66 +87,57 @@ class MelConfig:
         return self.fmax if self.fmax > 0.0 else self.sample_rate / 2.0
 
 
-@dataclass
-class FeatureMatrix:
-    values: np.ndarray           # (n_mels, T)
-    source: str = ""
-
-    @property
-    def n_frames(self) -> int:
-        return self.values.shape[1]
-
-
 # ---------------------------------------------------------------------------
 # WAV ingestion (strict: RIFF/WAVE, PCM, 16-bit, mono, little-endian)
 # ---------------------------------------------------------------------------
 
 def read_wav(path) -> Waveform:
-    raw = Path(path).read_bytes()
-    if len(raw) < 12:
-        raise FormatError(f"{path}: truncated header ({len(raw)} bytes)")
-    if raw[0:4] != b"RIFF":
-        raise FormatError(f"{path}: bad chunk id {raw[0:4]!r}, expected b'RIFF'")
-    if raw[8:12] != b"WAVE":
-        raise FormatError(f"{path}: bad format tag {raw[8:12]!r}, expected b'WAVE'")
+    with naming(path):
+        raw = Path(path).read_bytes()
+        if len(raw) < 12:
+            raise FormatError(f"truncated header ({len(raw)} bytes)")
+        if raw[0:4] != b"RIFF":
+            raise FormatError(f"bad chunk id {raw[0:4]!r}, expected b'RIFF'")
+        if raw[8:12] != b"WAVE":
+            raise FormatError(f"bad format tag {raw[8:12]!r}, expected b'WAVE'")
 
-    fmt = None
-    data = None
-    pos = 12
-    while pos + 8 <= len(raw):
-        cid = raw[pos:pos + 4]
-        (size,) = struct.unpack_from("<I", raw, pos + 4)
-        body = raw[pos + 8:pos + 8 + size]
-        if cid == b"fmt ":
-            if len(body) < 16:
-                raise FormatError(f"{path}: fmt chunk truncated")
-            fmt = struct.unpack_from("<HHIIHH", body, 0)
-        elif cid == b"data":
-            if len(body) < size:
-                raise FormatError(f"{path}: data chunk truncated")
-            data = body
-        pos += 8 + size + (size & 1)   # chunks are word-aligned
+        fmt = None
+        data = None
+        pos = 12
+        while pos + 8 <= len(raw):
+            cid = raw[pos:pos + 4]
+            (size,) = struct.unpack_from("<I", raw, pos + 4)
+            body = raw[pos + 8:pos + 8 + size]
+            if cid == b"fmt ":
+                if len(body) < 16:
+                    raise FormatError("fmt chunk truncated")
+                fmt = struct.unpack_from("<HHIIHH", body, 0)
+            elif cid == b"data":
+                if len(body) < size:
+                    raise FormatError("data chunk truncated")
+                data = body
+            pos += 8 + size + (size & 1)   # chunks are word-aligned
 
-    if fmt is None:
-        raise FormatError(f"{path}: missing fmt chunk")
-    if data is None:
-        raise FormatError(f"{path}: missing data chunk")
-    audio_format, channels, sample_rate, _, _, bits = fmt
-    if audio_format != 1:
-        raise FormatError(f"{path}: audio_format={audio_format} unsupported (PCM only)")
-    if channels != 1:
-        raise FormatError(f"{path}: channels={channels} unsupported")
-    if bits != 16:
-        raise FormatError(f"{path}: bits_per_sample={bits} unsupported")
-    if sample_rate <= 0:
-        raise FormatError(f"{path}: sample_rate={sample_rate} invalid")
-    if len(data) % 2:
-        raise FormatError(
-            f"{path}: data chunk of {len(data)} bytes is not a whole number of 16-bit samples")
+        if fmt is None:
+            raise FormatError("missing fmt chunk")
+        if data is None:
+            raise FormatError("missing data chunk")
+        audio_format, channels, sample_rate, _, _, bits = fmt
+        if audio_format != 1:
+            raise FormatError(f"audio_format={audio_format} unsupported (PCM only)")
+        if channels != 1:
+            raise FormatError(f"channels={channels} unsupported")
+        if bits != 16:
+            raise FormatError(f"bits_per_sample={bits} unsupported")
+        if sample_rate <= 0:
+            raise FormatError(f"sample_rate={sample_rate} invalid")
+        if len(data) % 2:
+            raise FormatError(f"data chunk of {len(data)} bytes is not a whole number "
+                              f"of 16-bit samples")
 
-    samples = np.frombuffer(data, dtype="<i2").astype(np.float64) / 32768.0
-    if samples.size == 0:
-        raise FormatError(f"{path}: empty data chunk")
+        samples = np.frombuffer(data, dtype="<i2").astype(np.float64) / 32768.0
+        if samples.size == 0:
+            raise FormatError("empty data chunk")
     return Waveform(samples=samples, sample_rate=sample_rate)
 
 
@@ -177,7 +168,7 @@ def frame_count(n_samples: int, cfg: MelConfig) -> int:
     return (n_samples - cfg.frame_samples) // cfg.shift_samples + 1
 
 
-def logmel(wave: Waveform, cfg: MelConfig = None) -> FeatureMatrix:
+def logmel(wave: Waveform, cfg: MelConfig = None) -> np.ndarray:
     """Log mel-filterbank energies from a waveform, (n_mels, T)."""
     cfg = cfg or MelConfig()
     if wave.sample_rate != cfg.sample_rate:
@@ -192,37 +183,34 @@ def logmel(wave: Waveform, cfg: MelConfig = None) -> FeatureMatrix:
     frames = wave.samples[idx] * np.hamming(frame)[None, :]
     power = np.abs(np.fft.rfft(frames, n=cfg.n_fft, axis=1)) ** 2
     energy = mel_filterbank(cfg) @ power.T
-    return FeatureMatrix(values=np.log(np.maximum(energy, cfg.log_floor)))
+    return np.log(np.maximum(energy, cfg.log_floor))
 
 
-def mvn(fm: FeatureMatrix) -> FeatureMatrix:
+def mvn(x: np.ndarray) -> np.ndarray:
     """Normalize each mel bin to zero mean, unit variance over time."""
-    if fm.n_frames < 2:
+    if x.shape[1] < 2:
         raise DimensionError("mvn needs at least 2 frames")
-    x = fm.values
     mean = x.mean(axis=1, keepdims=True)
     var = x.var(axis=1, keepdims=True)
-    out = (x - mean) / np.sqrt(np.maximum(var, 1e-8))
-    return FeatureMatrix(values=out, source=fm.source)
+    return (x - mean) / np.sqrt(np.maximum(var, 1e-8))
 
 
-def crop(fm: FeatureMatrix, seconds: float, rng, frames_per_second: float) -> FeatureMatrix:
+def crop(x: np.ndarray, seconds: float, rng, frames_per_second: float) -> np.ndarray:
     """Random fixed-length window; shorter inputs wrap around."""
     target = int(round(seconds * frames_per_second))
-    t = fm.n_frames
+    t = x.shape[1]
     if t == target:
-        return fm
+        return x
     if t < target:
-        idx = np.arange(target) % t
-        return FeatureMatrix(values=fm.values[:, idx], source=fm.source)
+        return x[:, np.arange(target) % t]
     start = int(rng.integers(0, t - target + 1))
-    return FeatureMatrix(values=fm.values[:, start:start + target], source=fm.source)
+    return x[:, start:start + target]
 
 
-def spec_mask(fm: FeatureMatrix, rng, max_f_mask: int = 8, max_t_mask: int = 20,
-              n_masks: int = 2) -> FeatureMatrix:
+def spec_mask(x: np.ndarray, rng, max_f_mask: int = 8, max_t_mask: int = 20,
+              n_masks: int = 2) -> np.ndarray:
     """Mask random frequency and time bands with the utterance mean."""
-    x = fm.values.copy()
+    x = x.copy()
     n_mels, t = x.shape
     fill = float(x.mean())
     for _ in range(n_masks):
@@ -234,7 +222,7 @@ def spec_mask(fm: FeatureMatrix, rng, max_f_mask: int = 8, max_t_mask: int = 20,
         if w > 0 and w <= t:
             t0 = int(rng.integers(0, t - w + 1))
             x[:, t0:t0 + w] = fill
-    return FeatureMatrix(values=x, source=fm.source)
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +232,8 @@ def spec_mask(fm: FeatureMatrix, rng, max_f_mask: int = 8, max_t_mask: int = 20,
 @dataclass
 class SynthUtterance:
     speaker: int
-    features: FeatureMatrix
+    utt: int                     # index within the speaker
+    features: np.ndarray         # (n_mels, T)
 
 
 def synth_dataset(num_speakers: int, utts_per_speaker: int, seed: int,
@@ -274,51 +263,104 @@ def synth_dataset(num_speakers: int, utts_per_speaker: int, seed: int,
             clean = template[:, None] * mod[None, :]
             noise_std = np.sqrt(np.mean(clean ** 2)) / 10.0 ** 0.5   # ~10 dB SNR
             values = clean + rng.normal(0.0, noise_std, (n_mels, t_len))
-            out.append(SynthUtterance(
-                speaker=spk,
-                features=FeatureMatrix(values=values, source=f"spk{spk:03d}_utt{utt:03d}")))
+            out.append(SynthUtterance(speaker=spk, utt=utt, features=values))
     return out
 
 
 # ---------------------------------------------------------------------------
-# FEAT file format: magic, u32 version, u32 rank, u32 dims..., f64 LE payload
+# array records: a field is a u32, UTF-8 text after its u32 byte length, or an
+# array (u32 rank, u32 dims, f64 LE values). Packers append to one bytearray.
+# A FEAT file is the magic, a u32 version, then one (n_mels, T) array.
 # ---------------------------------------------------------------------------
 
-def write_feat(path, fm: FeatureMatrix) -> None:
-    vals = tensor(fm.values)
-    blob = FEAT_MAGIC + struct.pack("<II", FEAT_VERSION, vals.ndim)
-    blob += struct.pack(f"<{vals.ndim}I", *vals.shape)
-    blob += vals.astype("<f8").tobytes(order="C")
+def pack_u32(out: bytearray, value: int) -> None:
+    out += struct.pack("<I", value)
+
+
+def pack_text(out: bytearray, text: str) -> None:
+    data = text.encode("utf-8")
+    pack_u32(out, len(data))
+    out += data
+
+
+def pack_array(out: bytearray, values) -> None:
+    values = np.ascontiguousarray(values, dtype="<f8")
+    out += struct.pack(f"<{1 + values.ndim}I", values.ndim, *values.shape)
+    out += values.data
+
+
+class Reader:
+    """Takes a record's fields in order. A field that runs past the end is a
+    FormatError with its byte offset; a non-finite value names its cell."""
+
+    def __init__(self, raw: bytes):
+        self.raw = memoryview(raw)
+        self.pos = 0
+
+    @property
+    def left(self) -> int:
+        return len(self.raw) - self.pos
+
+    def take(self, size: int, what: str) -> memoryview:
+        if size > self.left:
+            raise FormatError(f"truncated at byte offset {self.pos}: {what} needs "
+                              f"{size} bytes, {self.left} left")
+        self.pos += size
+        return self.raw[self.pos - size:self.pos]
+
+    def header(self, magic: bytes, version: int, kind: str) -> None:
+        if self.raw[:len(magic)] != magic:
+            raise FormatError(f"not a {kind} file (bad magic)")
+        self.pos = len(magic)
+        (found,) = self.u32s(1, "version")
+        if found != version:
+            raise FormatError(f"unsupported {kind} version {found}")
+
+    def u32s(self, count: int, what: str) -> tuple:
+        return struct.unpack(f"<{count}I", self.take(4 * count, what))
+
+    def text(self, what: str) -> str:
+        (size,) = self.u32s(1, f"length of {what}")
+        try:
+            return str(self.take(size, what), "utf-8")
+        except UnicodeDecodeError as exc:
+            start = self.pos - size
+            raise FormatError(f"{what} at byte offset {start} is not UTF-8 "
+                              f"({exc.reason} at byte {start + exc.start})") from None
+
+    def array(self, what: str) -> np.ndarray:
+        (rank,) = self.u32s(1, f"rank of {what}")
+        dims = self.u32s(rank, f"shape of {what}")
+        raw = self.take(8 * math.prod(dims), f"values of {what}")
+        values = np.frombuffer(raw, dtype="<f8").astype(np.float64)   # aligned copy
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            at = [int(i) for i in np.unravel_index(bad[0], dims)]
+            raise NumericError(f"non-finite value {values[bad[0]]} in {what} at {at} "
+                               f"({bad.size} in all)")
+        return values.reshape(dims)
+
+
+def write_feat(path, values: np.ndarray) -> None:
+    blob = bytearray(FEAT_MAGIC)
+    pack_u32(blob, FEAT_VERSION)
+    pack_array(blob, values)
     Path(path).write_bytes(blob)
 
 
-def read_feat(path, n_mels: int) -> FeatureMatrix:
-    """A FEAT file's matrix; a FormatError unless it has `n_mels` bins."""
-    raw = Path(path).read_bytes()
-    if raw[:4] != FEAT_MAGIC:
-        raise FormatError(f"{path}: not a FEAT file")
-    if len(raw) < FEAT_HEADER_BYTES:
-        raise FormatError(
-            f"{path}: header truncated at byte {len(raw)} of {FEAT_HEADER_BYTES}")
-    version, rank = struct.unpack_from("<II", raw, 4)
-    if version != FEAT_VERSION:
-        raise FormatError(f"{path}: unsupported FEAT version {version}")
-    if rank != 2:
-        raise FormatError(f"{path}: expected rank 2, got {rank}")
-    dims = struct.unpack_from("<2I", raw, 12)
-    if 0 in dims:
-        raise FormatError(f"{path}: empty {dims[0]}x{dims[1]} feature matrix")
-    if dims[0] != n_mels:
-        raise FormatError(f"{path}: {dims[0]} mel bins, config has features.n_mels = {n_mels}")
-    payload = raw[FEAT_HEADER_BYTES:]
-    expect = 8 * dims[0] * dims[1]
-    if len(payload) != expect:
-        raise FormatError(f"{path}: payload of {len(payload)} bytes, expected {expect}")
-    values = np.frombuffer(payload, dtype="<f8").reshape(dims).astype(np.float64)
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        row, frame = np.unravel_index(bad[0], values.shape)
-        raise NumericError(
-            f"{path}: non-finite value {values[row, frame]} at bin {row} frame {frame} "
-            f"({bad.size} in all)")
-    return FeatureMatrix(values=values, source=Path(path).stem)
+def read_feat(path, n_mels: int) -> np.ndarray:
+    """A FEAT file's (n_mels, T) matrix; a FormatError unless it has `n_mels` bins."""
+    with naming(path):
+        record = Reader(Path(path).read_bytes())
+        record.header(FEAT_MAGIC, FEAT_VERSION, "FEAT")
+        values = record.array("feature matrix")
+        if values.ndim != 2:
+            raise FormatError(f"expected rank 2, got {values.ndim}")
+        if 0 in values.shape:
+            raise FormatError(f"empty {values.shape[0]}x{values.shape[1]} feature matrix")
+        if values.shape[0] != n_mels:
+            raise FormatError(f"{len(values)} mel bins, config has features.n_mels = {n_mels}")
+        if record.left:
+            raise FormatError(f"{record.left} bytes after the feature matrix, "
+                              f"at byte offset {record.pos}")
+    return values

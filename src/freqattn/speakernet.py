@@ -5,12 +5,12 @@ by ReLU and a channel-attention block, then frequency-collapsed mean+std
 statistics pooling over time and a bias-free linear projection to the
 embedding. Backward passes are explicit and run in reverse layer order;
 training is single-threaded and fully deterministic given the seed.
+Checkpoints are written and read with the array-record codec in `features`.
 """
 
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import List, Optional, Tuple
@@ -18,8 +18,8 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from . import attention
-from .errors import ConfigError, DimensionError, FormatError, NumericError
-from .features import crop, spec_mask
+from .errors import ConfigError, DimensionError, FormatError, NumericError, naming
+from .features import Reader, crop, pack_array, pack_text, pack_u32, spec_mask
 from .tensor import Parameter, conv2d, conv2d_backward, relu, relu_backward
 
 CKPT_MAGIC = b"FAMC"
@@ -27,6 +27,9 @@ CKPT_VERSION = 1
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# 0.8 GB per float64 copy, and training keeps four (values, gradients, Adam's m
+# and v); the default network has about 33 thousand
+MAX_PARAMETERS = 100_000_000
 
 
 @dataclass
@@ -44,16 +47,25 @@ class NetworkConfig:
         if self.in_channels < 1 or self.embedding_dim < 1:
             raise ConfigError(f"in_channels and embedding_dim must be >= 1, got "
                               f"{self.in_channels} and {self.embedding_dim}")
+        if self.num_speakers < 0:       # 0: taken from the training list
+            raise ConfigError(f"num_speakers must be >= 0, got {self.num_speakers}")
         if len(self.attention_k) != len(self.stages):
             raise ConfigError(
                 f"attention_k has {len(self.attention_k)} entries for "
                 f"{len(self.stages)} stages")
+        c_in, count = self.in_channels, 0
         for i, ((c_out, kernel, stride), k) in enumerate(zip(self.stages, self.attention_k)):
             if min(c_out, kernel, stride) < 1:
                 raise ConfigError(f"stages[{i}] = {c_out}:{kernel}:{stride}: channels, "
                                   f"kernel and stride must be >= 1")
             attention.check_block(self.attention_variant, c_out, self.reduction, k,
                                   self.aggregation)
+            count += c_out * c_in * kernel * kernel + 2 * c_out * (c_out // self.reduction)
+            c_in = c_out
+        count += self.embedding_dim * (2 * c_in + self.num_speakers)   # projection, AAM head
+        if count > MAX_PARAMETERS:
+            raise ConfigError(f"the network has {count} parameters, above the limit "
+                              f"of {MAX_PARAMETERS}")
 
 
 @dataclass
@@ -317,11 +329,11 @@ def train_epoch(net: SpeakerNet, head: AamHead, examples, opts: TrainOptions,
         batch = order[start:start + opts.batch_size]
         optimizer.zero_grad()
         for j in batch:
-            label, fm = examples[j]
-            fm = crop(fm, opts.crop_seconds, rng, opts.frames_per_second)
+            label, x = examples[j]
+            x = crop(x, opts.crop_seconds, rng, opts.frames_per_second)
             if opts.augment:
-                fm = spec_mask(fm, rng)
-            emb, cache = forward_train(net, fm.values[None, :, :])
+                x = spec_mask(x, rng)
+            emb, cache = forward_train(net, x[None, :, :])
             res = aam_loss(head, emb, label)
             if not np.isfinite(res.loss):
                 raise NumericError(f"non-finite loss at example index {int(j)}")
@@ -351,73 +363,31 @@ def train(net: SpeakerNet, head: AamHead, examples, opts: TrainOptions, rng,
 
 
 # ---------------------------------------------------------------------------
-# checkpoint format: magic, u32 version, length-prefixed config text, then
-# per parameter: u32 name length, name, u32 rank, u32 dims..., f64 LE values
+# checkpoint file: magic, u32 version, the config text, then per parameter its
+# name and its array, all in features' array-record layout
 # ---------------------------------------------------------------------------
 
 def save_checkpoint(path, config_text: str, params) -> None:
     blob = bytearray(CKPT_MAGIC)
-    blob += struct.pack("<I", CKPT_VERSION)
-    cfg = config_text.encode("utf-8")
-    blob += struct.pack("<I", len(cfg)) + cfg
+    pack_u32(blob, CKPT_VERSION)
+    pack_text(blob, config_text)
     for p in params:
-        name = p.name.encode("utf-8")
-        blob += struct.pack("<I", len(name)) + name
-        blob += struct.pack("<I", p.value.ndim)
-        blob += struct.pack(f"<{p.value.ndim}I", *p.value.shape)
-        blob += p.value.astype("<f8").tobytes(order="C")
-    Path(path).write_bytes(bytes(blob))
+        pack_text(blob, p.name)
+        pack_array(blob, p.value)
+    Path(path).write_bytes(blob)
 
 
 def load_checkpoint(path):
-    """Return (config_text, ordered list of (name, array)).
-
-    A file cut short raises FormatError naming the path and the byte offset
-    of the first field that runs past its end; a non-finite parameter value
-    raises NumericError naming the path and the parameter.
-    """
-    raw = Path(path).read_bytes()
-    pos = 0
-
-    def take(size, what):
-        nonlocal pos
-        if pos + size > len(raw):
-            raise FormatError(f"{path}: truncated at byte offset {pos}: {what} needs "
-                              f"{size} bytes, {len(raw) - pos} left")
-        pos += size
-        return raw[pos - size:pos]
-
-    def u32s(count, what):
-        return struct.unpack(f"<{count}I", take(4 * count, what))
-
-    def text(size, what):
-        start = pos
-        try:
-            return take(size, what).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise FormatError(f"{path}: {what} at byte offset {start} is not UTF-8 "
-                              f"({exc.reason} at byte {start + exc.start})") from None
-
-    if take(4, "magic") != CKPT_MAGIC:
-        raise FormatError(f"{path}: not a checkpoint file (bad magic)")
-    (version,) = u32s(1, "version")
-    if version != CKPT_VERSION:
-        raise FormatError(f"{path}: unsupported checkpoint version {version}")
-    (cfg_len,) = u32s(1, "config length")
-    config_text = text(cfg_len, "config text")
-    entries = []
-    while pos < len(raw):
-        (name_len,) = u32s(1, "name length")
-        name = text(name_len, "parameter name")
-        (rank,) = u32s(1, f"rank of {name}")
-        dims = u32s(rank, f"shape of {name}")
-        values = np.frombuffer(take(8 * math.prod(dims), f"values of {name}"), dtype="<f8")
-        bad = np.flatnonzero(~np.isfinite(values))
-        if bad.size:
-            at = [int(i) for i in np.unravel_index(bad[0], dims)]
-            raise NumericError(f"{path}: non-finite value {values[bad[0]]} in {name} at "
-                               f"{at} ({bad.size} in all)")
-        entries.append((name, values.reshape(dims).astype(np.float64)))
+    """(config_text, ordered list of (name, array)); a damaged file raises the
+    `Reader`'s FormatError or NumericError with the path in front."""
+    with naming(path):
+        record = Reader(Path(path).read_bytes())
+        record.header(CKPT_MAGIC, CKPT_VERSION, "checkpoint")
+        config_text = record.text("config text")
+        entries = []
+        while record.left:
+            name = record.text("parameter name")
+            entries.append((name, record.array(name)))
     return config_text, entries
 
 

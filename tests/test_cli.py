@@ -345,13 +345,13 @@ class TestTrain:
         if damage == "header_cut":
             bad.write_bytes(bad.read_bytes()[:15])
         elif damage == "zero_frames":
-            feats.write_feat(bad, feats.FeatureMatrix(np.zeros((64, 0))))
+            feats.write_feat(bad, np.zeros((64, 0)))
         elif damage == "zero_bins":
-            feats.write_feat(bad, feats.FeatureMatrix(np.zeros((0, 200))))
+            feats.write_feat(bad, np.zeros((0, 200)))
         else:
-            fm = feats.read_feat(bad, 64)
-            fm.values[5, 7] = np.nan
-            feats.write_feat(bad, fm)
+            x = feats.read_feat(bad, 64)
+            x[5, 7] = np.nan
+            feats.write_feat(bad, x)
         (tmp_path / "train.txt").write_text("\n".join(lines) + "\n")
         cfg = tiny_run_config()
         cfg.train_list = str(tmp_path / "train.txt")
@@ -586,8 +586,7 @@ class TestScoreRejectsBadInputs:
         save_untrained_checkpoint(ckpt, cfg)
         rng = np.random.default_rng(0)
         for name, frames in (("short.feat", 6), ("long.feat", 200)):
-            feats.write_feat(tmp_path / name,
-                             feats.FeatureMatrix(rng.standard_normal((64, frames))))
+            feats.write_feat(tmp_path / name, rng.standard_normal((64, frames)))
         trials = tmp_path / "trials.txt"
         trials.write_text("1 long.feat short.feat\n")
         rc = self.score(ckpt, trials, tmp_path, tmp_path / "s.txt")
@@ -684,6 +683,7 @@ BAD_CONFIG_CASES = {
     "n_mels_zero": ({"features.n_mels": "0"}, "n_mels"),
     "embedding_dim_zero": ({"network.embedding_dim": "0"}, "embedding_dim"),
     "in_channels_zero": ({"network.in_channels": "0"}, "in_channels"),
+    "in_channels_two": ({"network.in_channels": "2"}, "in_channels must be 1"),
     "kernel_zero": ({"network.stages": "8:0:2,16:3:2"}, "stages[0] = 8:0:2"),
     "stride_zero": ({"network.stages": "8:3:2,16:3:0"}, "stages[1] = 16:3:0"),
     "sfsc_k_zero": ({"attention.variant": "sfsc", "attention.k": "0,4"},
@@ -699,6 +699,14 @@ BAD_CONFIG_CASES = {
     "n_fft_over_limit": ({"features.n_fft": "65537"}, "n_fft=65537 is above"),
     "n_mels_30_digits": ({"features.n_mels": "9" * 30}, "n_mels"),
     "n_mels_over_fft_bins": ({"features.n_mels": "258"}, "n_mels=258 exceeds the 257"),
+    "num_speakers_negative": ({"network.num_speakers": "-32"}, "num_speakers must be >= 0"),
+    # each first array of the network would be over 1 TiB
+    "embedding_dim_huge": ({"network.embedding_dim": "999999999999"},
+                           "above the limit of 100000000"),
+    "stage_channels_huge": ({"network.stages": "99999999999:3:2,16:3:2"},
+                            "above the limit of 100000000"),
+    "kernel_huge": ({"network.stages": "8:999999:2,16:3:2"},
+                    "above the limit of 100000000"),
 }
 
 
@@ -754,7 +762,7 @@ class BadInput:
     def feat(self, name, n_mels):
         path = self.tmp / name
         rng = np.random.default_rng(0)
-        feats.write_feat(path, feats.FeatureMatrix(rng.standard_normal((n_mels, 300))))
+        feats.write_feat(path, rng.standard_normal((n_mels, 300)))
         return path
 
 
@@ -803,6 +811,15 @@ def _narrow_feat_scored(w):
             f"{bad}: 2 mel bins, config has features.n_mels = 64")
 
 
+def _one_speaker_trained(w):
+    train_list = w.tmp / "train.txt"
+    lines = (w.synth_dir / "train.txt").read_text().splitlines()
+    train_list.write_text("".join(f"{line.split()[0]} {w.synth_dir / line.split()[1]}\n"
+                                  for line in lines if line.startswith("spk000 ")))
+    return (w.train(w.config(train_list=train_list)),
+            f"{train_list}: one speaker (spk000); training needs at least 2")
+
+
 def _mixed_bin_counts_trained(w):
     bad = w.feat("forty.feat", 40)
     train_list = w.tmp / "train.txt"
@@ -839,7 +856,8 @@ def _extract_out_is_file(w):
 BAD_INPUT_CASES = {fn.__name__.lstrip("_"): fn for fn in (
     _negative_seed_key, _negative_env_seed, _non_integer_env_seed_synth,
     _negative_synth_seed, _negative_synth_trials, _negative_synth_test_utts,
-    _non_utf8_train_list, _narrow_feat_scored, _mixed_bin_counts_trained,
+    _non_utf8_train_list, _narrow_feat_scored, _one_speaker_trained,
+    _mixed_bin_counts_trained,
     _train_out_is_directory, _train_out_in_missing_dir, _train_config_is_directory,
     _extract_out_is_file)}
 

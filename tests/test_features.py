@@ -77,32 +77,32 @@ class TestReadWav:
 class TestLogmel:
     def test_one_second_is_98_frames(self):
         wave = feats.Waveform(np.zeros(16000), 16000)
-        fm = feats.logmel(wave)
-        assert fm.values.shape == (64, 98)
+        x = feats.logmel(wave)
+        assert x.shape == (64, 98)
 
     def test_frame_count_formula_sweep(self):
         cfg = feats.MelConfig()
         for n in (400, 401, 559, 560, 561, 16000, 31999, 32000):
             wave = feats.Waveform(np.zeros(n), 16000)
             expected = (n - 400) // 160 + 1
-            assert feats.logmel(wave, cfg).n_frames == expected
+            assert feats.logmel(wave, cfg).shape[1] == expected
 
     def test_zero_audio_hits_log_floor(self):
         wave = feats.Waveform(np.zeros(16000), 16000)
-        fm = feats.logmel(wave)
-        assert np.allclose(fm.values, np.log(1e-10))
-        assert fm.values[0, 0] == pytest.approx(-23.025850929940457)
+        x = feats.logmel(wave)
+        assert np.allclose(x, np.log(1e-10))
+        assert x[0, 0] == pytest.approx(-23.025850929940457)
 
     def test_sine_peaks_at_nearest_mel_center(self):
         cfg = feats.MelConfig()
         t = np.arange(16000) / 16000.0
         wave = feats.Waveform(0.5 * np.sin(2 * np.pi * 1000.0 * t), 16000)
-        fm = feats.logmel(wave, cfg)
+        x = feats.logmel(wave, cfg)
         mels = np.linspace(feats.hz_to_mel(cfg.fmin), feats.hz_to_mel(cfg.fmax_hz),
                            cfg.n_mels + 2)
         centers = feats.mel_to_hz(mels)[1:-1]
         expected_bin = int(np.argmin(np.abs(centers - 1000.0)))
-        got_bin = int(np.argmax(fm.values.mean(axis=1)))
+        got_bin = int(np.argmax(x.mean(axis=1)))
         assert got_bin == expected_bin
 
     def test_scaling_shifts_log_by_log4(self):
@@ -110,8 +110,8 @@ class TestLogmel:
         samples = rng.uniform(-0.25, 0.25, 8000)
         a = feats.logmel(feats.Waveform(samples, 16000))
         b = feats.logmel(feats.Waveform(2.0 * samples, 16000))
-        unfloored = a.values > np.log(1e-10) + 1e-6
-        assert np.max(np.abs((b.values - a.values)[unfloored] - np.log(4.0))) < 1e-9
+        unfloored = a > np.log(1e-10) + 1e-6
+        assert np.max(np.abs((b - a)[unfloored] - np.log(4.0))) < 1e-9
 
     def test_too_short_input(self):
         with pytest.raises(DimensionError):
@@ -126,7 +126,7 @@ class TestLogmel:
         samples = rng.uniform(-0.5, 0.5, 5000)
         a = feats.logmel(feats.Waveform(samples, 16000))
         b = feats.logmel(feats.Waveform(samples.copy(), 16000))
-        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a, b)
 
     def test_fft_agrees_with_direct_dft_on_a_frame(self):
         # the FFT path must match a naive DFT evaluation of the same frame
@@ -142,58 +142,58 @@ class TestLogmel:
 class TestMvn:
     def test_row_statistics(self):
         rng = np.random.default_rng(3)
-        fm = feats.FeatureMatrix(rng.standard_normal((64, 120)) * 3.0 + 5.0)
-        out = feats.mvn(fm)
-        assert np.max(np.abs(out.values.mean(axis=1))) < 1e-12
-        assert np.max(np.abs(out.values.var(axis=1) - 1.0)) < 1e-9
+        x = rng.standard_normal((64, 120)) * 3.0 + 5.0
+        out = feats.mvn(x)
+        assert np.max(np.abs(out.mean(axis=1))) < 1e-12
+        assert np.max(np.abs(out.var(axis=1) - 1.0)) < 1e-9
 
     def test_constant_row_becomes_zero(self):
-        fm = feats.FeatureMatrix(np.full((4, 50), 2.5))
-        assert np.array_equal(feats.mvn(fm).values, np.zeros((4, 50)))
+        x = np.full((4, 50), 2.5)
+        assert np.array_equal(feats.mvn(x), np.zeros((4, 50)))
 
     def test_single_frame_rejected(self):
         with pytest.raises(DimensionError):
-            feats.mvn(feats.FeatureMatrix(np.zeros((4, 1))))
+            feats.mvn(np.zeros((4, 1)))
 
 
 class TestCrop:
     def test_seeded_slice_is_deterministic(self):
-        fm = feats.FeatureMatrix(np.arange(64.0 * 500).reshape(64, 500))
-        a = feats.crop(fm, 2.0, np.random.default_rng(5), 100.0)
-        b = feats.crop(fm, 2.0, np.random.default_rng(5), 100.0)
-        assert a.values.shape == (64, 200)
-        assert np.array_equal(a.values, b.values)
+        x = np.arange(64.0 * 500).reshape(64, 500)
+        a = feats.crop(x, 2.0, np.random.default_rng(5), 100.0)
+        b = feats.crop(x, 2.0, np.random.default_rng(5), 100.0)
+        assert a.shape == (64, 200)
+        assert np.array_equal(a, b)
 
     def test_exact_length_is_identity(self):
-        fm = feats.FeatureMatrix(np.random.default_rng(6).standard_normal((64, 200)))
-        out = feats.crop(fm, 2.0, np.random.default_rng(0), 100.0)
-        assert np.array_equal(out.values, fm.values)
+        x = np.random.default_rng(6).standard_normal((64, 200))
+        out = feats.crop(x, 2.0, np.random.default_rng(0), 100.0)
+        assert np.array_equal(out, x)
 
     def test_short_input_wraps(self):
-        fm = feats.FeatureMatrix(np.tile(np.arange(90.0), (4, 1)))
-        out = feats.crop(fm, 2.0, np.random.default_rng(0), 100.0)
+        x = np.tile(np.arange(90.0), (4, 1))
+        out = feats.crop(x, 2.0, np.random.default_rng(0), 100.0)
         expected = np.concatenate([np.arange(90.0), np.arange(90.0), np.arange(20.0)])
-        assert np.array_equal(out.values[0], expected)
+        assert np.array_equal(out[0], expected)
 
 
 class TestSpecMask:
     def test_zero_masks_is_identity(self):
         rng = np.random.default_rng(7)
-        fm = feats.FeatureMatrix(rng.standard_normal((64, 100)))
-        out = feats.spec_mask(fm, rng, n_masks=0)
-        assert np.array_equal(out.values, fm.values)
+        x = rng.standard_normal((64, 100))
+        out = feats.spec_mask(x, rng, n_masks=0)
+        assert np.array_equal(out, x)
 
     def test_deterministic_given_seed(self):
-        fm = feats.FeatureMatrix(np.random.default_rng(8).standard_normal((64, 100)))
-        a = feats.spec_mask(fm, np.random.default_rng(9))
-        b = feats.spec_mask(fm, np.random.default_rng(9))
-        assert np.array_equal(a.values, b.values)
+        x = np.random.default_rng(8).standard_normal((64, 100))
+        a = feats.spec_mask(x, np.random.default_rng(9))
+        b = feats.spec_mask(x, np.random.default_rng(9))
+        assert np.array_equal(a, b)
 
     def test_masked_cell_bound(self):
         rng = np.random.default_rng(10)
-        fm = feats.FeatureMatrix(rng.standard_normal((64, 150)) + 10.0)
-        out = feats.spec_mask(fm, rng, max_f_mask=8, max_t_mask=20, n_masks=2)
-        changed = int(np.sum(out.values != fm.values))
+        x = rng.standard_normal((64, 150)) + 10.0
+        out = feats.spec_mask(x, rng, max_f_mask=8, max_t_mask=20, n_masks=2)
+        changed = int(np.sum(out != x))
         assert changed <= 2 * (8 * 150 + 20 * 64)
 
 
@@ -204,7 +204,7 @@ class TestSynthDataset:
         assert len(a) == len(b) == 6
         for u, v in zip(a, b):
             assert u.speaker == v.speaker
-            assert np.array_equal(u.features.values, v.features.values)
+            assert np.array_equal(u.features, v.features)
 
     def test_counts(self):
         data = feats.synth_dataset(2, 5, seed=12)
@@ -215,7 +215,7 @@ class TestSynthDataset:
         data = feats.synth_dataset(6, 4, seed=13)
         means = {}
         for u in data:
-            means.setdefault(u.speaker, []).append(u.features.values.mean(axis=1))
+            means.setdefault(u.speaker, []).append(u.features.mean(axis=1))
         within, between = [], []
         speakers = sorted(means)
         for s in speakers:
@@ -238,18 +238,17 @@ class TestSynthDataset:
 
 class TestFeatFile:
     def test_roundtrip_bitwise(self, tmp_path):
-        fm = feats.FeatureMatrix(np.random.default_rng(14).standard_normal((64, 37)))
+        x = np.random.default_rng(14).standard_normal((64, 37))
         p = tmp_path / "x.feat"
-        feats.write_feat(p, fm)
+        feats.write_feat(p, x)
         back = feats.read_feat(p, 64)
-        assert np.array_equal(back.values, fm.values)
-        assert back.source == "x"
+        assert np.array_equal(back, x)
 
     def test_rewrite_identical_bytes(self, tmp_path):
-        fm = feats.FeatureMatrix(np.random.default_rng(15).standard_normal((8, 9)))
+        x = np.random.default_rng(15).standard_normal((8, 9))
         p1, p2 = tmp_path / "a.feat", tmp_path / "b.feat"
-        feats.write_feat(p1, fm)
-        feats.write_feat(p2, fm)
+        feats.write_feat(p1, x)
+        feats.write_feat(p2, x)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_bad_magic(self, tmp_path):
@@ -260,12 +259,19 @@ class TestFeatFile:
 
     def test_header_cut_at_every_offset(self, tmp_path):
         p = tmp_path / "h.feat"
-        feats.write_feat(p, feats.FeatureMatrix(np.zeros((2, 3))))
+        feats.write_feat(p, np.zeros((2, 3)))
         blob = p.read_bytes()
-        for size in range(feats.FEAT_HEADER_BYTES):
+        # (offset, size, name) of each field after the magic
+        fields = [(4, 4, "version"), (8, 4, "rank of feature matrix"),
+                  (12, 8, "shape of feature matrix")]
+        for size in range(20):
             p.write_bytes(blob[:size])
-            expected = "not a FEAT file" if size < 4 else f"byte {size} of 20"
-            with pytest.raises(FormatError, match=re.escape(f"{p}: ") + ".*" + expected):
+            expected = "not a FEAT file"
+            for at, need, what in fields:
+                if at <= size:
+                    expected = (f"truncated at byte offset {at}: {what} needs {need} "
+                                f"bytes, {size - at} left")
+            with pytest.raises(FormatError, match=re.escape(f"{p}: {expected}")):
                 feats.read_feat(p, 2)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -273,22 +279,25 @@ class TestFeatFile:
         values = np.zeros((4, 5))
         values[2, 3] = bad
         p = tmp_path / "n.feat"
-        feats.write_feat(p, feats.FeatureMatrix(values))
-        with pytest.raises(NumericError, match=re.escape(f"{p}: ") + ".*bin 2 frame 3"):
+        feats.write_feat(p, values)
+        expected = f"{p}: non-finite value {bad} in feature matrix at [2, 3] (1 in all)"
+        with pytest.raises(NumericError, match=re.escape(expected)):
             feats.read_feat(p, 4)
 
     @pytest.mark.parametrize("shape", [(64, 0), (0, 200), (0, 0)])
     def test_zero_dimension_names_file_and_dims(self, tmp_path, shape):
         p = tmp_path / "z.feat"
-        feats.write_feat(p, feats.FeatureMatrix(np.zeros(shape)))
+        feats.write_feat(p, np.zeros(shape))
         expected = f"{p}: empty {shape[0]}x{shape[1]} feature matrix"
         with pytest.raises(FormatError, match=re.escape(expected)):
             feats.read_feat(p, 64)
 
     def test_truncated_payload(self, tmp_path):
-        fm = feats.FeatureMatrix(np.zeros((4, 4)))
+        x = np.zeros((4, 4))
         p = tmp_path / "t.feat"
-        feats.write_feat(p, fm)
+        feats.write_feat(p, x)
         p.write_bytes(p.read_bytes()[:-8])
-        with pytest.raises(FormatError, match="payload"):
+        expected = (f"{p}: truncated at byte offset 20: values of feature matrix needs "
+                    f"128 bytes, 120 left")
+        with pytest.raises(FormatError, match=re.escape(expected)):
             feats.read_feat(p, 4)

@@ -45,7 +45,7 @@ def valid(tmp_path_factory):
     """One small valid file per reader, as bytes."""
     work = tmp_path_factory.mktemp("valid")
     rng = np.random.default_rng(0)
-    feats.write_feat(work / "feat", feats.FeatureMatrix(rng.standard_normal((4, 3))))
+    feats.write_feat(work / "feat", rng.standard_normal((4, 3)))
     write_wav(work / "wav", rng.uniform(-0.5, 0.5, 16))
     cfg = cfgmod.RunConfig()
     cfg.network.stages = ((2, 3, 2),)

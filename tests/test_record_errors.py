@@ -37,20 +37,23 @@ FEAT_CASES = {
     "version_2": (feat_bytes(np.zeros((2, 3)), version=2), 2, FormatError,
                   "unsupported FEAT version 2"),
     "cut_in_magic": (VALID_FEAT[:2], 2, FormatError, "not a FEAT file"),
-    "cut_in_version": (VALID_FEAT[:6], 2, FormatError, "header truncated at byte 6 of 20"),
-    "cut_in_rank": (VALID_FEAT[:10], 2, FormatError, "header truncated at byte 10 of 20"),
-    "cut_in_dims": (VALID_FEAT[:15], 2, FormatError, "header truncated at byte 15 of 20"),
-    "cut_in_values": (VALID_FEAT[:30], 2, FormatError,
-                      "payload of 10 bytes, expected 48"),
+    "cut_in_version": (VALID_FEAT[:6], 2, FormatError,
+                       "truncated at byte offset 4: version needs 4 bytes, 2 left"),
+    "cut_in_rank": (VALID_FEAT[:10], 2, FormatError, "truncated at byte offset 8: "
+                    "rank of feature matrix needs 4 bytes, 2 left"),
+    "cut_in_dims": (VALID_FEAT[:15], 2, FormatError, "truncated at byte offset 12: "
+                    "shape of feature matrix needs 8 bytes, 3 left"),
+    "cut_in_values": (VALID_FEAT[:30], 2, FormatError, "truncated at byte offset 20: "
+                      "values of feature matrix needs 48 bytes, 10 left"),
     "trailing_bytes": (VALID_FEAT + bytes(8), 2, FormatError,
-                       "payload of 56 bytes, expected 48"),
+                       "8 bytes after the feature matrix, at byte offset 68"),
     "rank_3": (feat_bytes(np.zeros((2, 3, 1))), 2, FormatError, "expected rank 2, got 3"),
     "empty_dim": (feat_bytes(np.zeros((2, 0))), 2, FormatError,
                   "empty 2x0 feature matrix"),
     "wrong_n_mels": (VALID_FEAT, 64, FormatError,
                      "2 mel bins, config has features.n_mels = 64"),
     "nan_cell": (feat_with_nan(), 2, NumericError,
-                 "non-finite value nan at bin 1 frame 2 (1 in all)"),
+                 "non-finite value nan in feature matrix at [1, 2] (1 in all)"),
 }
 
 
@@ -74,11 +77,11 @@ CHECKPOINT_CASES = {
     "cut_in_version": (cut(6), FormatError,
                        "truncated at byte offset 4: version needs 4 bytes, 2 left"),
     "cut_in_config_length": (cut(10), FormatError, "truncated at byte offset 8: "
-                             "config length needs 4 bytes, 2 left"),
+                             "length of config text needs 4 bytes, 2 left"),
     "cut_in_config_text": (cut(15), FormatError, "truncated at byte offset 12: "
                            "config text needs 9 bytes, 3 left"),
     "cut_in_name_length": (cut(23), FormatError, "truncated at byte offset 21: "
-                           "name length needs 4 bytes, 2 left"),
+                           "length of parameter name needs 4 bytes, 2 left"),
     "cut_in_name": (cut(30), FormatError, "truncated at byte offset 25: "
                     "parameter name needs 13 bytes, 5 left"),
     "cut_in_rank": (cut(40), FormatError, "truncated at byte offset 38: "

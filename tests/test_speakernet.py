@@ -81,6 +81,19 @@ class TestForwardEmbed:
             sn.NetworkConfig(attention_variant="sfsc", stages=((16, 3, 2),),
                              attention_k=(3,))
 
+    def test_parameter_limit_counts_every_parameter(self, monkeypatch):
+        kw = dict(in_channels=2, stages=((4, 3, 2), (8, 5, 1)), attention_k=(2, 4),
+                  num_speakers=3)
+        cfg = tiny_cfg(**kw)
+        count = (sn.num_parameters(sn.SpeakerNet(cfg))
+                 + sn.AamHead(3, cfg.embedding_dim).weight.size)
+        monkeypatch.setattr(sn, "MAX_PARAMETERS", count)
+        tiny_cfg(**kw)                                  # at the limit
+        monkeypatch.setattr(sn, "MAX_PARAMETERS", count - 1)
+        with pytest.raises(ConfigError, match=f"the network has {count} parameters, "
+                                              f"above the limit of {count - 1}"):
+            tiny_cfg(**kw)
+
 
 class TestAamLoss:
     def make_head(self, n=4, d=8, m=0.2, s=30.0, seed=0):
@@ -321,7 +334,8 @@ class TestCheckpoint:
             sn.load_checkpoint(path)
         path.write_bytes(blob[:23])       # inside the first parameter's name length
         with pytest.raises(FormatError, match=r"m\.ckpt: truncated at byte offset 21: "
-                                              r"name length needs 4 bytes, 2 left"):
+                                              r"length of parameter name needs 4 bytes, "
+                                              r"2 left"):
             sn.load_checkpoint(path)
 
     def test_shape_mismatch_rejected(self, tmp_path):
