@@ -20,6 +20,8 @@ import tempfile
 import time
 from pathlib import Path
 
+import numpy as np
+
 from freqattn import cli
 from freqattn import config as cfgmod
 from freqattn import speakernet as sn
@@ -59,8 +61,8 @@ def run(args, work):
         metrics = freqattn("metrics", "--scores", f"{stem}.scores")
         eer, min_dcf = (float(v) for v in re.findall(r"=(\S+)", metrics))
         losses = [float(v) for v in re.findall(r"^epoch=\d+ loss=(\S+)", log, re.M)]
-        yield (name, eer, min_dcf, losses[0], losses[-1],
-               sn.num_parameters(sn.SpeakerNet(cfg.network)), seconds)
+        net = sn.SpeakerNet(cfg.network, np.random.default_rng(cfg.seed))
+        yield (name, eer, min_dcf, losses[0], losses[-1], sn.num_parameters(net), seconds)
 
 
 def main(argv=None):

@@ -8,13 +8,16 @@ the pre-sigmoid outputs of its branches into the vector s that rescales
 the channels. The variants differ only in which responses z reads:
 
 * ``se``    -- k = 1 with the (0, 0) plane, whose normalized form is the
-  constant 1/(F*T): z[c] is the global average of channel c.
+  constant 1/(F*T): z[c] is the global average of channel c, so the squeeze
+  is ``dct.gap`` and builds no plane.
 * ``sfsc``  -- channels are split into k contiguous groups; channel c
   reads the response to the plane of its group, row c // (C/k).
 * ``mfsc``  -- every channel reads all k responses, aggregated by their
   mean (``avg``), their maximum (``max``), or both as two branches
   (``avg_max``).
 
+For every (F, T) map it meets, sfsc and mfsc take the k lowest planes in
+zigzag order (``dct.select_frequency_indices``), so any input length works.
 The DCT planes are constants, so none of the variants add parameters over
 plain SE: each block owns exactly w1 and w2.
 """
@@ -32,7 +35,6 @@ from .tensor import Parameter, relu, relu_backward, sigmoid, sigmoid_backward
 
 VARIANTS = ("se", "sfsc", "mfsc")
 AGGREGATIONS = ("avg", "max", "avg_max")
-GAP_INDICES = (dct.FrequencyIndex(0, 0),)
 
 
 def check_block(variant: str, channels: int, reduction: int, k: Optional[int],
@@ -58,35 +60,22 @@ def check_block(variant: str, channels: int, reduction: int, k: Optional[int],
 class AttentionBlock:
     """Parameterized SE / SFSC / MFSC unit over C-channel feature maps.
 
-    Frequency indices may be fixed at construction (``indices``) or chosen
-    lazily per feature-map shape (``k`` alone): the lazy mode picks the k
-    lowest-frequency indices in zigzag order for each (F, T) it encounters,
-    which keeps variable-length inputs working.
+    se ignores k and aggregation (an unknown aggregation is still rejected).
+    The weights are drawn from the caller's rng.
     """
 
-    def __init__(self, variant: str, channels: int, reduction: int = 8,
-                 k: Optional[int] = None, indices=None, aggregation: str = "avg",
-                 rng=None):
-        if indices is not None:
-            indices = tuple(dct.FrequencyIndex(int(f), int(t)) for f, t in indices)
-            if k is not None and k != len(indices):
-                raise ConfigError(f"k={k} disagrees with {len(indices)} explicit indices")
-            k = len(indices)
+    def __init__(self, variant: str, channels: int, reduction: int, k: Optional[int],
+                 aggregation: str, rng):
         check_block(variant, channels, reduction, k, aggregation)
         if variant == "se":
-            if indices:
-                raise ConfigError("se takes no frequency indices")
-            k, indices, aggregation = 1, GAP_INDICES, "avg"
+            k, aggregation = 1, "avg"
         hidden = channels // reduction
 
         self.variant = variant
         self.channels = channels
-        self.reduction = reduction
         self.k = k
-        self.indices = indices
         self.aggregation = None if variant == "sfsc" else aggregation
 
-        rng = np.random.default_rng(0) if rng is None else rng
         a1 = 1.0 / np.sqrt(channels)
         a2 = 1.0 / np.sqrt(hidden)
         self.w1 = Parameter(rng.uniform(-a1, a1, (hidden, channels)), "attn.w1")
@@ -94,10 +83,6 @@ class AttentionBlock:
 
     def parameters(self):
         return [self.w1, self.w2]
-
-    def resolve_indices(self, f_dim: int, t_dim: int):
-        """Fixed indices as given (dct.dct_basis range-checks them), else the k lowest."""
-        return self.indices or tuple(dct.select_frequency_indices(f_dim, t_dim, self.k))
 
 
 @dataclass
@@ -137,13 +122,13 @@ def forward(block: AttentionBlock, x: np.ndarray):
     """Squeeze x by the block's DCT planes, excite, rescale: (s, y, backward state)."""
     _check_input(block, x)
     c, f_dim, t_dim = x.shape
-    indices = block.resolve_indices(f_dim, t_dim)
-    if indices == GAP_INDICES:
+    if block.variant == "se":
         # the normalized (0, 0) plane is constant: its response is the channel mean
         planes = None
-        z_full = x.mean(axis=(1, 2))[None, :]
+        z_full = dct.gap(x)[None, :]
     else:
-        planes = dct.dct_basis(f_dim, t_dim, indices)
+        planes = dct.dct_basis(f_dim, t_dim,
+                               dct.select_frequency_indices(f_dim, t_dim, block.k))
         z_full = planes.reshape(len(planes), -1) @ x.reshape(c, -1).T     # (k, C)
     state = AttentionState(x=x, s=None, planes=planes, reads=_reads(block, z_full))
     cols = np.arange(c)

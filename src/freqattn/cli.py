@@ -69,12 +69,11 @@ def cmd_extract(args) -> int:
     cfg = cfgmod.load_config(args.config, env=os.environ) if args.config \
         else cfgmod.RunConfig()
     in_dir = Path(args.in_dir)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     wavs = sorted(in_dir.glob("*.wav"))
     if not wavs:
-        print(f"error: no .wav files in {in_dir}", file=sys.stderr)
-        return 1
+        raise ConfigError(f"no .wav files in {in_dir}")
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     failures = 0
     for wav in wavs:
         try:
@@ -120,8 +119,8 @@ def _build_model(cfg):
     """Network and AAM head drawn from one rng seeded by cfg.seed; returns the rng too."""
     rng = np.random.default_rng(cfg.seed)
     net = sn.SpeakerNet(cfg.network, rng)
-    head = sn.AamHead(cfg.network.num_speakers, cfg.network.embedding_dim,
-                      margin=cfg.margin, scale=cfg.scale, rng=rng)
+    head = sn.AamHead(cfg.network.num_speakers, cfg.network.embedding_dim, cfg.margin,
+                      cfg.scale, rng)
     return net, head, rng
 
 
@@ -141,9 +140,9 @@ def cmd_train(args) -> int:
     if cfg.network.num_speakers == 0:
         cfg.network.num_speakers = len(speakers)
     elif cfg.network.num_speakers != len(speakers):
-        raise ConfigError(
-            f"config says {cfg.network.num_speakers} speakers, "
-            f"training list has {len(speakers)}")
+        with naming(args.config):
+            raise ConfigError(f"config says {cfg.network.num_speakers} speakers, "
+                              f"training list has {len(speakers)}")
 
     net, head, rng = _build_model(cfg)
     print(f"seed={cfg.seed} speakers={len(speakers)} examples={len(examples)} "

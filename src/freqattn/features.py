@@ -24,6 +24,9 @@ from .errors import ConfigError, DimensionError, FormatError, NumericError, nami
 FEAT_MAGIC = b"FEAT"
 FEAT_VERSION = 1
 MAX_N_FFT = 65536            # 4 s frames at 16 kHz; far above any speech front end
+SPEC_MASKS = 2               # spec_mask: frequency and time band pairs per crop
+SPEC_MAX_F_MASK = 8          # widest frequency band, in mel bins
+SPEC_MAX_T_MASK = 20         # widest time band, in frames
 
 
 @dataclass
@@ -168,9 +171,8 @@ def frame_count(n_samples: int, cfg: MelConfig) -> int:
     return (n_samples - cfg.frame_samples) // cfg.shift_samples + 1
 
 
-def logmel(wave: Waveform, cfg: MelConfig = None) -> np.ndarray:
+def logmel(wave: Waveform, cfg: MelConfig) -> np.ndarray:
     """Log mel-filterbank energies from a waveform, (n_mels, T)."""
-    cfg = cfg or MelConfig()
     if wave.sample_rate != cfg.sample_rate:
         raise ConfigError(
             f"waveform rate {wave.sample_rate} != configured {cfg.sample_rate}")
@@ -207,18 +209,17 @@ def crop(x: np.ndarray, seconds: float, rng, frames_per_second: float) -> np.nda
     return x[:, start:start + target]
 
 
-def spec_mask(x: np.ndarray, rng, max_f_mask: int = 8, max_t_mask: int = 20,
-              n_masks: int = 2) -> np.ndarray:
-    """Mask random frequency and time bands with the utterance mean."""
+def spec_mask(x: np.ndarray, rng) -> np.ndarray:
+    """Mask SPEC_MASKS random frequency and time bands with the utterance mean."""
     x = x.copy()
     n_mels, t = x.shape
     fill = float(x.mean())
-    for _ in range(n_masks):
-        w = int(rng.integers(0, max_f_mask + 1))
+    for _ in range(SPEC_MASKS):
+        w = int(rng.integers(0, SPEC_MAX_F_MASK + 1))
         if w > 0 and w <= n_mels:
             f0 = int(rng.integers(0, n_mels - w + 1))
             x[f0:f0 + w, :] = fill
-        w = int(rng.integers(0, max_t_mask + 1))
+        w = int(rng.integers(0, SPEC_MAX_T_MASK + 1))
         if w > 0 and w <= t:
             t0 = int(rng.integers(0, t - w + 1))
             x[:, t0:t0 + w] = fill

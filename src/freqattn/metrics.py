@@ -105,19 +105,32 @@ def evaluate_trials(trials) -> EvalMetrics:
 # trial list and scores file formats
 # ---------------------------------------------------------------------------
 
-def parse_trials(text: str) -> List[Trial]:
-    """One trial per line: '<0|1> <enroll> <test>', 1 = target."""
+def _parse_lines(text: str, scored: bool) -> List[Trial]:
+    """Trials from '<0|1> <enroll> <test>' lines, each with a fourth field, the
+    score, if `scored`; blank lines are skipped."""
+    n_fields = 4 if scored else 3
     trials = []
     for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
         parts = line.split()
-        if len(parts) != 3:
-            raise ParseError(f"line {lineno}: expected 3 fields, got {len(parts)}")
+        if not parts:
+            continue
+        if len(parts) != n_fields:
+            raise ParseError(f"line {lineno}: expected {n_fields} fields, got {len(parts)}")
         if parts[0] not in ("0", "1"):
             raise ParseError(f"line {lineno}: label must be 0 or 1, got {parts[0]!r}")
-        trials.append(Trial(label=int(parts[0]), enroll=parts[1], test=parts[2]))
+        trial = Trial(label=int(parts[0]), enroll=parts[1], test=parts[2])
+        if scored:
+            try:
+                trial.score = float(parts[3])
+            except ValueError as exc:
+                raise ParseError(f"line {lineno}: bad score {parts[3]!r}") from exc
+        trials.append(trial)
     return trials
+
+
+def parse_trials(text: str) -> List[Trial]:
+    """One trial per line: '<0|1> <enroll> <test>', 1 = target."""
+    return _parse_lines(text, scored=False)
 
 
 def format_scores(trials) -> str:
@@ -127,19 +140,4 @@ def format_scores(trials) -> str:
 
 def parse_scores(text: str) -> List[Trial]:
     """One scored trial per line: '<0|1> <enroll> <test> <score>'."""
-    trials = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        parts = line.split()
-        if len(parts) != 4:
-            raise ParseError(f"line {lineno}: expected 4 fields, got {len(parts)}")
-        if parts[0] not in ("0", "1"):
-            raise ParseError(f"line {lineno}: label must be 0 or 1, got {parts[0]!r}")
-        try:
-            score = float(parts[3])
-        except ValueError as exc:
-            raise ParseError(f"line {lineno}: bad score {parts[3]!r}") from exc
-        trials.append(Trial(label=int(parts[0]), enroll=parts[1], test=parts[2],
-                            score=score))
-    return trials
+    return _parse_lines(text, scored=True)

@@ -79,8 +79,7 @@ class _Stage:
 class SpeakerNet:
     """Conv stages with per-stage attention, statistics pooling, projection."""
 
-    def __init__(self, cfg: NetworkConfig, rng=None):
-        rng = np.random.default_rng(0) if rng is None else rng
+    def __init__(self, cfg: NetworkConfig, rng):
         self.cfg = cfg
         self.stages: List[_Stage] = []
         c_in = cfg.in_channels
@@ -88,9 +87,8 @@ class SpeakerNet:
             a = 1.0 / np.sqrt(c_in * kernel * kernel)
             conv = Parameter(rng.uniform(-a, a, (c_out, c_in, kernel, kernel)),
                              f"stage{i}.conv.w")
-            block = attention.AttentionBlock(
-                cfg.attention_variant, c_out, cfg.reduction, k=cfg.attention_k[i],
-                aggregation=cfg.aggregation, rng=rng)
+            block = attention.AttentionBlock(cfg.attention_variant, c_out, cfg.reduction,
+                                             cfg.attention_k[i], cfg.aggregation, rng)
             block.w1.name = f"stage{i}.attn.w1"
             block.w2.name = f"stage{i}.attn.w2"
             self.stages.append(_Stage(conv, stride, kernel // 2, block))
@@ -102,7 +100,7 @@ class SpeakerNet:
     def parameters(self) -> List[Parameter]:
         out = []
         for st in self.stages:
-            out.extend([st.conv, st.block.w1, st.block.w2])
+            out += [st.conv, *st.block.parameters()]
         out.append(self.proj)
         return out
 
@@ -187,11 +185,10 @@ def backward(net: SpeakerNet, cache: _ForwardCache, d_emb: np.ndarray) -> np.nda
 class AamHead:
     """Margin-penalized cosine classifier over speaker classes."""
 
-    def __init__(self, num_speakers: int, embedding_dim: int,
-                 margin: float = 0.2, scale: float = 30.0, rng=None):
+    def __init__(self, num_speakers: int, embedding_dim: int, margin: float,
+                 scale: float, rng):
         if num_speakers < 2:
             raise ConfigError("AamHead needs at least 2 classes")
-        rng = np.random.default_rng(0) if rng is None else rng
         a = 1.0 / np.sqrt(embedding_dim)
         self.weight = Parameter(rng.uniform(-a, a, (num_speakers, embedding_dim)),
                                 "aam.w")

@@ -24,7 +24,7 @@ def tensor(data) -> np.ndarray:
 class Parameter:
     """Trainable array paired with an accumulated gradient of equal shape."""
 
-    def __init__(self, value, name: str = ""):
+    def __init__(self, value, name: str):
         self.value = tensor(value)
         self.grad = np.zeros_like(self.value)
         self.name = name
@@ -35,9 +35,6 @@ class Parameter:
 
     def zero_grad(self) -> None:
         self.grad[...] = 0.0
-
-    def __repr__(self) -> str:
-        return f"Parameter(name={self.name!r}, shape={self.value.shape})"
 
 
 # ---------------------------------------------------------------------------

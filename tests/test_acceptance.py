@@ -2,12 +2,18 @@
 
 The per-criterion lines are replayed in the pytest terminal summary (see
 conftest). The toy-training criterion drives the real CLI end to end
-(synth -> train -> score -> metrics) for each attention variant and takes
-several minutes; everything else finishes in seconds.
+(synth -> train -> score -> metrics) for each attention variant, in two
+spawned worker processes, and takes about two minutes; everything else
+finishes in seconds.
 """
 
+import contextlib
+import io
+import multiprocessing
 import re
 import time
+from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -65,31 +71,45 @@ def test_criterion_2_orthogonality_and_round_trip(acceptance_report):
            f"{elapsed:.2f}s)")
 
 
-def test_criterion_3_special_case_reduction(acceptance_report):
+def test_criterion_3_special_case_reduction(acceptance_report, monkeypatch):
+    # se squeezes by dct.gap; sfsc and mfsc at k = 1 must build the (0, 0) plane
+    builds = []
+    dct_basis = dct.dct_basis
+
+    def counting_dct_basis(*args, **kwargs):
+        builds.append(args)
+        return dct_basis(*args, **kwargs)
+
+    monkeypatch.setattr(dct, "dct_basis", counting_dct_basis)
     worst = 0.0
+    planes = {"se": 0, "sfsc": 0, "mfsc": 0}
     for draw in range(20):
         rng = np.random.default_rng(200 + draw)
-        se = attn.AttentionBlock("se", 8, 4, rng=rng)
+        se = attn.AttentionBlock("se", 8, 4, None, "avg", rng)
         se.w1.value = rng.standard_normal(se.w1.value.shape)
         se.w2.value = rng.standard_normal(se.w2.value.shape)
-        sfsc = attn.AttentionBlock("sfsc", 8, 4, indices=[(0, 0)] * 4)
-        mfsc = attn.AttentionBlock("mfsc", 8, 4, indices=[(0, 0)], aggregation="avg")
+        # their weights are replaced by se's, so they draw from a generator of their own
+        sfsc = attn.AttentionBlock("sfsc", 8, 4, 1, "avg", np.random.default_rng(0))
+        mfsc = attn.AttentionBlock("mfsc", 8, 4, 1, "avg", np.random.default_rng(0))
         for block in (sfsc, mfsc):
             block.w1.value = se.w1.value.copy()
             block.w2.value = se.w2.value.copy()
         x = rng.standard_normal((8, 4, 6))
-        s_se, _, _ = attn.forward(se, x)
-        s_sf, _, _ = attn.forward(sfsc, x)
-        s_mf, _, _ = attn.forward(mfsc, x)
-        worst = max(worst, float(np.max(np.abs(s_sf - s_se))),
-                    float(np.max(np.abs(s_mf - s_se))))
-    acceptance_report(3, "SFSC/MFSC reduce to SE at the lowest frequency", worst < 1e-12,
-           f"(max |s - s_se| = {worst:.2e} over 20 draws)")
+        s = {}
+        for block in (se, sfsc, mfsc):
+            n_built = len(builds)
+            s[block.variant], _, _ = attn.forward(block, x)
+            planes[block.variant] += len(builds) - n_built
+        worst = max(worst, float(np.max(np.abs(s["sfsc"] - s["se"]))),
+                    float(np.max(np.abs(s["mfsc"] - s["se"]))))
+    ok = worst < 1e-12 and planes == {"se": 0, "sfsc": 20, "mfsc": 20}
+    acceptance_report(3, "SFSC/MFSC reduce to SE at the lowest frequency", ok,
+           f"(max |s - s_se| = {worst:.2e} over 20 draws; DCT plane builds {planes})")
 
 
-def _grad_block(variant, seed, **kw):
+def _grad_block(variant, seed, k=None, aggregation="avg"):
     rng = np.random.default_rng(seed)
-    block = attn.AttentionBlock(variant, 8, 4, rng=rng, **kw)
+    block = attn.AttentionBlock(variant, 8, 4, k, aggregation, rng)
     x0 = rng.standard_normal((8, 4, 6))
 
     def f_x(x):
@@ -114,7 +134,7 @@ def _grad_block(variant, seed, **kw):
 
 def _grad_aam(seed):
     rng = np.random.default_rng(seed)
-    head = sn.AamHead(4, 8, rng=rng)
+    head = sn.AamHead(4, 8, 0.2, 30.0, rng)
     label = int(rng.integers(0, 4))
     emb0 = rng.standard_normal(8)
 
@@ -153,7 +173,7 @@ def _grad_full_network(seed):
                            embedding_dim=4, attention_variant="mfsc",
                            attention_k=(2, 2), aggregation="avg_max", reduction=2)
     net = sn.SpeakerNet(cfg, rng)
-    head = sn.AamHead(3, 4, rng=rng)
+    head = sn.AamHead(3, 4, 0.2, 30.0, rng)
     x0 = rng.standard_normal((8, 4, 6))
     label = int(rng.integers(0, 3))
     worst = 0.0
@@ -209,7 +229,8 @@ def test_criterion_4_gradient_correctness(acceptance_report):
 def test_criterion_5_parameter_parity(acceptance_report):
     block_counts = {
         variant_agg: sum(p.size for p in attn.AttentionBlock(
-            variant, 64, 8, k=(None if variant == "se" else 16), aggregation=agg).parameters())
+            variant, 64, 8, None if variant == "se" else 16, agg,
+            np.random.default_rng(0)).parameters())
         for variant_agg, (variant, agg) in {
             "se": ("se", "avg"), "sfsc": ("sfsc", "avg"),
             "mfsc_avg": ("mfsc", "avg"), "mfsc_max": ("mfsc", "max"),
@@ -217,7 +238,7 @@ def test_criterion_5_parameter_parity(acceptance_report):
     net_counts = {}
     for variant, agg in [("se", "avg"), ("sfsc", "avg"), ("mfsc", "avg_max")]:
         cfg = sn.NetworkConfig(attention_variant=variant, aggregation=agg)
-        net_counts[variant] = sn.num_parameters(sn.SpeakerNet(cfg))
+        net_counts[variant] = sn.num_parameters(sn.SpeakerNet(cfg, np.random.default_rng(0)))
     ok = len(set(block_counts.values())) == 1 and len(set(net_counts.values())) == 1
     acceptance_report(5, "parameter parity across attention variants", ok,
            f"(block counts {block_counts}, net counts {net_counts})")
@@ -295,36 +316,42 @@ def _toy_config(variant, aggregation, corpus, epochs=30):
     return cfg
 
 
-def _run_variant(variant, aggregation, corpus, work, capsys, epochs=30):
-    cfg_path = work / f"{variant}_{aggregation}.cfg"
+def _run_variant(variant, aggregation, corpus, work, epochs=30):
+    """Train and score one variant through the CLI: (epoch losses, held-out EER).
+
+    Runs in a criterion 7 worker process, so it captures the CLI's output itself.
+    """
+    stem = work / f"{variant}_{aggregation}_{epochs}"
+    cfg_path = Path(f"{stem}.cfg")
     cfg_path.write_text(cfgmod.serialize_config(
         _toy_config(variant, aggregation, corpus, epochs)))
-    ckpt = work / f"{variant}_{aggregation}.ckpt"
-    assert cli.main(["train", "--config", str(cfg_path), "--out", str(ckpt)]) == 0
-    log = capsys.readouterr().out
-    losses = [float(m) for m in re.findall(r"epoch=\d+ loss=([0-9.eE+-]+)", log)]
+    ckpt, scores_path = f"{stem}.ckpt", Path(f"{stem}.scores")
+    with contextlib.redirect_stdout(io.StringIO()) as log:
+        assert cli.main(["train", "--config", str(cfg_path), "--out", ckpt]) == 0
+        assert cli.main(["score", "--checkpoint", ckpt,
+                         "--trials", str(corpus / "trials.txt"),
+                         "--features", str(corpus / "feats"),
+                         "--out", str(scores_path)]) == 0
+    losses = [float(m) for m in re.findall(r"epoch=\d+ loss=([0-9.eE+-]+)", log.getvalue())]
     assert len(losses) == epochs
-    scores_path = work / f"{variant}_{aggregation}.scores"
-    assert cli.main(["score", "--checkpoint", str(ckpt),
-                     "--trials", str(corpus / "trials.txt"),
-                     "--features", str(corpus / "feats"),
-                     "--out", str(scores_path)]) == 0
-    capsys.readouterr()
     trials = mt.parse_scores(scores_path.read_text())
     eer, _ = mt.compute_eer(trials)
-    return losses, eer, scores_path
+    return losses, eer
 
 
-def test_criterion_7_toy_training(toy_corpus, tmp_path, capsys, acceptance_report):
+def test_criterion_7_toy_training(toy_corpus, tmp_path, monkeypatch, acceptance_report):
     start = time.monotonic()
-    results = {}
-    for variant, agg in [("se", "avg"), ("sfsc", "avg"), ("mfsc", "avg_max")]:
-        losses, eer, _ = _run_variant(variant, agg, toy_corpus, tmp_path, capsys)
-        results[variant] = (losses, eer)
-
-    # determinism probe: the first two epochs replay bitwise on a fresh run
-    short, _, _ = _run_variant("se", "avg", toy_corpus, tmp_path, capsys, epochs=2)
-    det_ok = short == results["se"][0][:2]
+    variants = [("se", "avg"), ("sfsc", "avg"), ("mfsc", "avg_max")]
+    # two spawned workers, each started with one BLAS thread before it loads numpy
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    spawn = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=2, mp_context=spawn) as pool:
+        full = {variant: pool.submit(_run_variant, variant, agg, toy_corpus, tmp_path)
+                for variant, agg in reversed(variants)}    # the longest runs first
+        # determinism probe: the first two epochs replay bitwise on a fresh run
+        short = pool.submit(_run_variant, "se", "avg", toy_corpus, tmp_path, epochs=2)
+        results = {variant: full[variant].result(timeout=600.0) for variant, _ in variants}
+        det_ok = short.result(timeout=600.0)[0] == results["se"][0][:2]
 
     elapsed = time.monotonic() - start
     ok = det_ok and elapsed < 600.0
@@ -338,8 +365,9 @@ def test_criterion_7_toy_training(toy_corpus, tmp_path, capsys, acceptance_repor
 
 
 def test_criterion_8_feature_recipe(tmp_path, acceptance_report):
+    mel = feats.MelConfig()
     wave = feats.Waveform(np.zeros(16000), 16000)
-    frames_ok = feats.logmel(wave).shape == (64, 98)
+    frames_ok = feats.logmel(wave, mel).shape == (64, 98)
 
     rng = np.random.default_rng(500)
     out = feats.mvn(rng.standard_normal((64, 150)) * 2.0 + 3.0)
@@ -352,7 +380,7 @@ def test_criterion_8_feature_recipe(tmp_path, acceptance_report):
     runs = []
     for i in range(2):
         path = tmp_path / f"probe{i}.feat"
-        feats.write_feat(path, feats.mvn(feats.logmel(feats.read_wav(wav_path))))
+        feats.write_feat(path, feats.mvn(feats.logmel(feats.read_wav(wav_path), mel)))
         runs.append(path.read_bytes())
     repeat_ok = runs[0] == runs[1]
 

@@ -13,9 +13,9 @@ from freqattn import tensor as tz
 from freqattn.errors import ConfigError, DimensionError
 
 
-def make_block(variant, channels=8, reduction=4, seed=0, **kw):
-    return attn.AttentionBlock(variant, channels, reduction,
-                               rng=np.random.default_rng(seed), **kw)
+def make_block(variant, channels=8, reduction=4, seed=0, k=None, aggregation="avg"):
+    return attn.AttentionBlock(variant, channels, reduction, k, aggregation,
+                               np.random.default_rng(seed))
 
 
 def copy_weights(src, dst):
@@ -56,6 +56,13 @@ class TestSeForward:
         assert np.allclose(s, 0.7310585786300049, atol=1e-12)  # sigmoid(1)
         assert np.allclose(y, 0.7310585786300049)
 
+    def test_descriptor_is_dct_gap(self):
+        # the se squeeze is the GAP that criterion 1 proves is SP[0, 0] / (F*T)
+        block = make_block("se", channels=16, reduction=8)
+        x = np.maximum(np.random.default_rng(6).standard_normal((16, 32, 100)), 0.0)
+        _, _, state = attn.forward(block, x)
+        assert state.zs[0].tobytes() == dct.gap(x).tobytes()
+
     def test_channel_mismatch(self):
         block = make_block("se", channels=4)
         with pytest.raises(DimensionError):
@@ -67,8 +74,7 @@ class TestSfscForward:
         rng = np.random.default_rng(1)
         for _ in range(5):
             se = make_block("se", channels=8, reduction=4, seed=7)
-            sf = make_block("sfsc", channels=8, reduction=4,
-                            indices=[(0, 0)] * 4)
+            sf = make_block("sfsc", channels=8, reduction=4, k=1)
             copy_weights(se, sf)
             x = rng.standard_normal((8, 4, 6))
             s_se, y_se, _ = attn.forward(se, x)
@@ -79,8 +85,7 @@ class TestSfscForward:
     def test_descriptor_matches_loop_oracle(self):
         # frozen from the loop oracle: gap of [[1,2],[3,4]] and the (0,1)
         # reduction of [[1,-1],[1,-1]] on a 2x2 grid
-        block = make_block("sfsc", channels=2, reduction=1,
-                           indices=[(0, 0), (0, 1)])
+        block = make_block("sfsc", channels=2, reduction=1, k=2)   # (0, 0), (0, 1)
         x = np.array([[[1.0, 2.0], [3.0, 4.0]],
                       [[1.0, -1.0], [1.0, -1.0]]])
         _, _, state = attn.forward(block, x)
@@ -91,11 +96,6 @@ class TestSfscForward:
     def test_divisibility_enforced(self):
         with pytest.raises(ConfigError, match="divisible"):
             make_block("sfsc", channels=16, k=3)
-
-    def test_index_out_of_bounds_for_map(self):
-        block = make_block("sfsc", channels=4, reduction=2, indices=[(0, 5), (0, 0)])
-        with pytest.raises(IndexError):
-            attn.forward(block, np.zeros((4, 3, 3)))
 
     def test_group_permutation_equivariance(self):
         rng = np.random.default_rng(2)
@@ -115,8 +115,7 @@ class TestMfscForward:
     def test_k1_avg_reduces_to_se(self):
         rng = np.random.default_rng(3)
         se = make_block("se", channels=8, reduction=4, seed=11)
-        mf = make_block("mfsc", channels=8, reduction=4,
-                        indices=[(0, 0)], aggregation="avg")
+        mf = make_block("mfsc", channels=8, reduction=4, k=1, aggregation="avg")
         copy_weights(se, mf)
         x = rng.standard_normal((8, 4, 6))
         s_se, _, _ = attn.forward(se, x)
@@ -125,8 +124,8 @@ class TestMfscForward:
 
     def test_k1_avg_max_doubles_preactivation(self):
         rng = np.random.default_rng(4)
-        block = make_block("mfsc", channels=8, reduction=4,
-                           indices=[(0, 0)], aggregation="avg_max", seed=5)
+        block = make_block("mfsc", channels=8, reduction=4, k=1, aggregation="avg_max",
+                           seed=5)
         x = rng.standard_normal((8, 4, 6))
         s, _, _ = attn.forward(block, x)
         z = dct.gap(x)
@@ -136,8 +135,8 @@ class TestMfscForward:
     def test_max_on_constant_channels(self):
         consts = np.array([2.0, -1.5, 0.5])
         x = np.broadcast_to(consts[:, None, None], (3, 4, 4)).copy()
-        block = make_block("mfsc", channels=3, reduction=1,
-                           indices=[(0, 0), (0, 1), (1, 0)], aggregation="max")
+        block = make_block("mfsc", channels=3, reduction=1, k=3,   # (0, 0), (0, 1), (1, 0)
+                           aggregation="max")
         _, _, state = attn.forward(block, x)
         # non-constant planes reduce a constant channel to 0, so max(z, 0)
         assert np.allclose(state.zs[0], np.maximum(consts, 0.0), atol=1e-12)
@@ -146,7 +145,7 @@ class TestMfscForward:
         with pytest.raises(ConfigError):
             make_block("mfsc", k=0)
         with pytest.raises(ConfigError):
-            attn.AttentionBlock("mfsc", 8, 4)
+            make_block("mfsc", k=None)
 
     def test_unknown_aggregation(self):
         with pytest.raises(ConfigError):
@@ -229,10 +228,9 @@ class TestAttentionRange:
     @given(st.integers(0, 2 ** 31 - 1), st.sampled_from(["se", "sfsc", "mfsc"]))
     def test_s_strictly_inside_unit_interval(self, seed, variant):
         rng = np.random.default_rng(seed)
-        kw = {} if variant == "se" else {"k": 2}
-        if variant == "mfsc":
-            kw["aggregation"] = "avg_max"
-        block = attn.AttentionBlock(variant, 4, 2, rng=rng, **kw)
+        k = None if variant == "se" else 2
+        aggregation = "avg_max" if variant == "mfsc" else "avg"
+        block = attn.AttentionBlock(variant, 4, 2, k, aggregation, rng)
         x = 10.0 * rng.standard_normal((4, 3, 3))
         s, _, _ = attn.forward(block, x)
         assert np.all(s > 0.0) and np.all(s < 1.0)
@@ -242,8 +240,8 @@ def attention_oracle(block, x, dy):
     """Einsum forward and backward over loop-built planes: (s, y, dx, dw1, dw2)."""
     c, f_dim, t_dim = x.shape
     w1, w2 = block.w1.value, block.w2.value
-    planes = np.stack([plane_naive(f_dim, t_dim, f, t)
-                       for f, t in block.resolve_indices(f_dim, t_dim)]) / (f_dim * t_dim)
+    indices = dct.select_frequency_indices(f_dim, t_dim, block.k)
+    planes = np.stack([plane_naive(f_dim, t_dim, f, t) for f, t in indices]) / (f_dim * t_dim)
     k = planes.shape[0]
     cols = np.arange(c)
     if block.variant == "sfsc":
@@ -311,7 +309,7 @@ class TestOracleParity:
     @pytest.mark.parametrize("shape", [shape for shape, _ in PARITY_SHAPES])
     @pytest.mark.parametrize("variant,aggregation", [("se", "avg"), ("mfsc", "avg_max")])
     def test_gap_squeeze_matches_einsum_oracle(self, shape, variant, aggregation):
-        # se, and mfsc with k = 1, resolve to the (0, 0) plane alone: no planes are built
+        # se squeezes by dct.gap, mfsc with k = 1 by the (0, 0) plane alone
         self.check(shape, 1, variant, aggregation)
 
 
@@ -323,7 +321,7 @@ class TestSeSqueezeBuildsNoPlanes:
         monkeypatch.setattr(dct, "select_frequency_indices", forbidden)
         rng = np.random.default_rng(0)
         for shape, _ in PARITY_SHAPES:
-            block = attn.AttentionBlock("se", shape[0], 8, rng=rng)
+            block = attn.AttentionBlock("se", shape[0], 8, None, "avg", rng)
             x = rng.standard_normal(shape)
             _, y, state = attn.forward(block, x)
             dx, _, _ = attn.attention_backward(block, state, rng.standard_normal(shape))

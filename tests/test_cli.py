@@ -186,6 +186,14 @@ class TestExtract:
         assert rc == 1
         assert err == f"error: {wav}: {message}\n"
 
+    def test_no_wavs_writes_no_out_dir(self, tmp_path, capsys):
+        in_dir = tmp_path / "wav"
+        in_dir.mkdir()
+        out_dir = tmp_path / "feat"
+        assert cli.main(["extract", "--in", str(in_dir), "--out", str(out_dir)]) == 1
+        assert capsys.readouterr().err == f"error: no .wav files in {in_dir}\n"
+        assert not out_dir.exists()
+
     def test_rerun_bitwise_identical(self, tmp_path, capsys):
         in_dir = tmp_path / "wav"
         in_dir.mkdir()
@@ -548,8 +556,9 @@ class TestKeepFreedMemory:
 
 
 def save_untrained_checkpoint(path, cfg):
-    net = sn.SpeakerNet(cfg.network)
-    head = sn.AamHead(cfg.network.num_speakers, cfg.network.embedding_dim)
+    net = sn.SpeakerNet(cfg.network, np.random.default_rng(0))
+    head = sn.AamHead(cfg.network.num_speakers, cfg.network.embedding_dim, cfg.margin,
+                      cfg.scale, np.random.default_rng(0))
     sn.save_checkpoint(path, cfgmod.serialize_config(cfg),
                        net.parameters() + head.parameters())
 
@@ -629,8 +638,9 @@ class TestScoreRejectsBadInputs:
                                                      damage):
         cfg = tiny_run_config()
         cfg.network.num_speakers = 4
-        net = sn.SpeakerNet(cfg.network)
-        params = net.parameters() + sn.AamHead(4, 16).parameters()
+        net = sn.SpeakerNet(cfg.network, np.random.default_rng(0))
+        head = sn.AamHead(4, 16, cfg.margin, cfg.scale, np.random.default_rng(0))
+        params = net.parameters() + head.parameters()
         if damage == "nan_weight":
             params[0].value[0, 0, 1, 1] = np.nan
         else:
@@ -660,11 +670,12 @@ class TestScoreRejectsBadInputs:
     def test_zero_norm_embedding_names_feature_file(self, synth_dir, tmp_path, capsys):
         cfg = tiny_run_config()
         cfg.network.num_speakers = 4
-        net = sn.SpeakerNet(cfg.network)
+        net = sn.SpeakerNet(cfg.network, np.random.default_rng(0))
         net.proj.value[...] = 0.0           # every embedding is the zero vector
+        head = sn.AamHead(4, 16, cfg.margin, cfg.scale, np.random.default_rng(0))
         ckpt = tmp_path / "model.ckpt"
         sn.save_checkpoint(ckpt, cfgmod.serialize_config(cfg),
-                           net.parameters() + sn.AamHead(4, 16).parameters())
+                           net.parameters() + head.parameters())
         first = (synth_dir / "trials.txt").read_text().split()[1]
         scores = tmp_path / "s.txt"
         rc = self.score(ckpt, synth_dir / "trials.txt", synth_dir / "feats", scores)
@@ -820,6 +831,11 @@ def _one_speaker_trained(w):
             f"{train_list}: one speaker (spk000); training needs at least 2")
 
 
+def _speaker_count_mismatch(w):
+    cfg = w.config("network.num_speakers = 3")       # the synth corpus has 4 speakers
+    return w.train(cfg), f"{cfg}: config says 3 speakers, training list has 4"
+
+
 def _mixed_bin_counts_trained(w):
     bad = w.feat("forty.feat", 40)
     train_list = w.tmp / "train.txt"
@@ -853,13 +869,20 @@ def _extract_out_is_file(w):
     return ["extract", "--in", str(w.tmp / "wav"), "--out", str(out)], f"{out}: File exists"
 
 
+def _extract_without_wavs(w):
+    (w.tmp / "wav").mkdir()
+    (w.tmp / "wav" / "u0.txt").write_text("")
+    return (["extract", "--in", str(w.tmp / "wav"), "--out", str(w.tmp / "feat")],
+            f"no .wav files in {w.tmp / 'wav'}")
+
+
 BAD_INPUT_CASES = {fn.__name__.lstrip("_"): fn for fn in (
     _negative_seed_key, _negative_env_seed, _non_integer_env_seed_synth,
     _negative_synth_seed, _negative_synth_trials, _negative_synth_test_utts,
     _non_utf8_train_list, _narrow_feat_scored, _one_speaker_trained,
-    _mixed_bin_counts_trained,
+    _speaker_count_mismatch, _mixed_bin_counts_trained,
     _train_out_is_directory, _train_out_in_missing_dir, _train_config_is_directory,
-    _extract_out_is_file)}
+    _extract_out_is_file, _extract_without_wavs)}
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUT_CASES))

@@ -77,7 +77,7 @@ class TestReadWav:
 class TestLogmel:
     def test_one_second_is_98_frames(self):
         wave = feats.Waveform(np.zeros(16000), 16000)
-        x = feats.logmel(wave)
+        x = feats.logmel(wave, feats.MelConfig())
         assert x.shape == (64, 98)
 
     def test_frame_count_formula_sweep(self):
@@ -89,7 +89,7 @@ class TestLogmel:
 
     def test_zero_audio_hits_log_floor(self):
         wave = feats.Waveform(np.zeros(16000), 16000)
-        x = feats.logmel(wave)
+        x = feats.logmel(wave, feats.MelConfig())
         assert np.allclose(x, np.log(1e-10))
         assert x[0, 0] == pytest.approx(-23.025850929940457)
 
@@ -108,14 +108,14 @@ class TestLogmel:
     def test_scaling_shifts_log_by_log4(self):
         rng = np.random.default_rng(1)
         samples = rng.uniform(-0.25, 0.25, 8000)
-        a = feats.logmel(feats.Waveform(samples, 16000))
-        b = feats.logmel(feats.Waveform(2.0 * samples, 16000))
+        a = feats.logmel(feats.Waveform(samples, 16000), feats.MelConfig())
+        b = feats.logmel(feats.Waveform(2.0 * samples, 16000), feats.MelConfig())
         unfloored = a > np.log(1e-10) + 1e-6
         assert np.max(np.abs((b - a)[unfloored] - np.log(4.0))) < 1e-9
 
     def test_too_short_input(self):
         with pytest.raises(DimensionError):
-            feats.logmel(feats.Waveform(np.zeros(399), 16000))
+            feats.logmel(feats.Waveform(np.zeros(399), 16000), feats.MelConfig())
 
     def test_sample_rate_mismatch(self):
         with pytest.raises(ConfigError):
@@ -124,8 +124,8 @@ class TestLogmel:
     def test_deterministic(self):
         rng = np.random.default_rng(2)
         samples = rng.uniform(-0.5, 0.5, 5000)
-        a = feats.logmel(feats.Waveform(samples, 16000))
-        b = feats.logmel(feats.Waveform(samples.copy(), 16000))
+        a = feats.logmel(feats.Waveform(samples, 16000), feats.MelConfig())
+        b = feats.logmel(feats.Waveform(samples.copy(), 16000), feats.MelConfig())
         assert np.array_equal(a, b)
 
     def test_fft_agrees_with_direct_dft_on_a_frame(self):
@@ -177,12 +177,6 @@ class TestCrop:
 
 
 class TestSpecMask:
-    def test_zero_masks_is_identity(self):
-        rng = np.random.default_rng(7)
-        x = rng.standard_normal((64, 100))
-        out = feats.spec_mask(x, rng, n_masks=0)
-        assert np.array_equal(out, x)
-
     def test_deterministic_given_seed(self):
         x = np.random.default_rng(8).standard_normal((64, 100))
         a = feats.spec_mask(x, np.random.default_rng(9))
@@ -192,9 +186,10 @@ class TestSpecMask:
     def test_masked_cell_bound(self):
         rng = np.random.default_rng(10)
         x = rng.standard_normal((64, 150)) + 10.0
-        out = feats.spec_mask(x, rng, max_f_mask=8, max_t_mask=20, n_masks=2)
+        out = feats.spec_mask(x, rng)
         changed = int(np.sum(out != x))
-        assert changed <= 2 * (8 * 150 + 20 * 64)
+        assert changed <= feats.SPEC_MASKS * (feats.SPEC_MAX_F_MASK * 150
+                                              + feats.SPEC_MAX_T_MASK * 64)
 
 
 class TestSynthDataset:

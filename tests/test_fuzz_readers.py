@@ -54,7 +54,8 @@ def valid(tmp_path_factory):
     cfg.network.reduction = 2
     text = cfgmod.serialize_config(cfg)
     (work / "config").write_text(text)
-    sn.save_checkpoint(work / "checkpoint", text, sn.SpeakerNet(cfg.network).parameters())
+    net = sn.SpeakerNet(cfg.network, np.random.default_rng(0))
+    sn.save_checkpoint(work / "checkpoint", text, net.parameters())
     (work / "trials").write_text("1 a.feat b.feat\n0 a.feat c.feat\n")
     (work / "scores").write_text("1 a b 0.900000\n1 c d 0.200000\n"
                                  "0 e f 0.800000\n0 g h -0.100000\n")

@@ -18,6 +18,11 @@ def tiny_cfg(variant="mfsc", **kw):
     return sn.NetworkConfig(attention_variant=variant, **kw)
 
 
+def aam_head(n_cls, dim, rng):
+    """A head with the run config's default margin and scale."""
+    return sn.AamHead(n_cls, dim, 0.2, 30.0, rng)
+
+
 def softmax_ce(logits, label):
     z = logits - logits.max()
     return float(np.log(np.exp(z).sum()) - z[label])
@@ -85,8 +90,8 @@ class TestForwardEmbed:
         kw = dict(in_channels=2, stages=((4, 3, 2), (8, 5, 1)), attention_k=(2, 4),
                   num_speakers=3)
         cfg = tiny_cfg(**kw)
-        count = (sn.num_parameters(sn.SpeakerNet(cfg))
-                 + sn.AamHead(3, cfg.embedding_dim).weight.size)
+        count = (sn.num_parameters(sn.SpeakerNet(cfg, np.random.default_rng(0)))
+                 + aam_head(3, cfg.embedding_dim, np.random.default_rng(0)).weight.size)
         monkeypatch.setattr(sn, "MAX_PARAMETERS", count)
         tiny_cfg(**kw)                                  # at the limit
         monkeypatch.setattr(sn, "MAX_PARAMETERS", count - 1)
@@ -189,7 +194,7 @@ class TestEndToEndGradients:
     def test_network_grad_check_input_and_params(self):
         cfg = tiny_cfg(in_channels=2)
         net = sn.SpeakerNet(cfg, np.random.default_rng(11))
-        head = sn.AamHead(3, 5, rng=np.random.default_rng(12))
+        head = aam_head(3, 5, np.random.default_rng(12))
         rng = np.random.default_rng(13)
         x0 = rng.standard_normal((2, 5, 6))
 
@@ -230,7 +235,7 @@ class TestTraining:
     def test_zero_lr_keeps_parameters_and_loss(self):
         examples = self.make_examples(exact=200)   # crop is identity at 200 frames
         net = sn.SpeakerNet(tiny_cfg(), np.random.default_rng(21))
-        head = sn.AamHead(4, 5, rng=np.random.default_rng(22))
+        head = aam_head(4, 5, np.random.default_rng(22))
         before = [p.value.copy() for p in net.parameters() + head.parameters()]
         opts = sn.TrainOptions(lr=0.0, epochs=2, batch_size=8)
         hist = sn.train(net, head, examples, opts, np.random.default_rng(23))
@@ -242,7 +247,7 @@ class TestTraining:
     def test_loss_decreases_over_30_epochs(self):
         examples = self.make_examples()
         net = sn.SpeakerNet(tiny_cfg(), np.random.default_rng(24))
-        head = sn.AamHead(4, 5, rng=np.random.default_rng(25))
+        head = aam_head(4, 5, np.random.default_rng(25))
         opts = sn.TrainOptions(epochs=30, batch_size=8)
         hist = sn.train(net, head, examples, opts, np.random.default_rng(26))
         assert hist[-1].mean_loss < hist[0].mean_loss
@@ -252,7 +257,7 @@ class TestTraining:
         runs = []
         for _ in range(2):
             net = sn.SpeakerNet(tiny_cfg(), np.random.default_rng(27))
-            head = sn.AamHead(4, 5, rng=np.random.default_rng(28))
+            head = aam_head(4, 5, np.random.default_rng(28))
             opts = sn.TrainOptions(epochs=3, batch_size=8)
             hist = sn.train(net, head, examples, opts, np.random.default_rng(29))
             runs.append(([h.mean_loss for h in hist],
@@ -264,7 +269,7 @@ class TestTraining:
     def test_non_finite_loss_aborts_with_index(self, monkeypatch):
         examples = self.make_examples()
         net = sn.SpeakerNet(tiny_cfg(), np.random.default_rng(30))
-        head = sn.AamHead(4, 5, rng=np.random.default_rng(31))
+        head = aam_head(4, 5, np.random.default_rng(31))
 
         real = sn.aam_loss
 
@@ -280,7 +285,7 @@ class TestTraining:
 
     def test_empty_dataset_rejected(self):
         net = sn.SpeakerNet(tiny_cfg(), np.random.default_rng(33))
-        head = sn.AamHead(4, 5, rng=np.random.default_rng(34))
+        head = aam_head(4, 5, np.random.default_rng(34))
         with pytest.raises(ConfigError):
             sn.train_epoch(net, head, [], sn.TrainOptions(), sn.Adam([], lr=1e-3),
                            np.random.default_rng(0))
@@ -290,7 +295,7 @@ class TestCheckpoint:
     def build(self, seed=40):
         cfg = tiny_cfg()
         net = sn.SpeakerNet(cfg, np.random.default_rng(seed))
-        head = sn.AamHead(4, 5, rng=np.random.default_rng(seed + 1))
+        head = aam_head(4, 5, np.random.default_rng(seed + 1))
         return net, head
 
     def test_roundtrip_restores_values(self, tmp_path):
