@@ -11,7 +11,9 @@ import argparse
 import ctypes
 import itertools
 import os
+import pickle
 import platform
+import signal
 import sys
 from pathlib import Path
 
@@ -22,7 +24,7 @@ from . import dct
 from . import features as feats
 from . import metrics as mt
 from . import speakernet as sn
-from .errors import ConfigError, FreqattnError, NumericError, ParseError, naming
+from .errors import CapacityError, ConfigError, FreqattnError, ParseError, naming
 
 _M_TRIM_THRESHOLD = -1      # glibc malloc.h
 _M_MMAP_THRESHOLD = -3
@@ -46,6 +48,32 @@ def _keep_freed_memory() -> None:
     mallopt.restype = ctypes.c_int
     mallopt(_M_TRIM_THRESHOLD, 64 << 20)
     mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+
+
+def _openblas_threads():
+    """(get, set) of the thread count of numpy's bundled OpenBLAS, or None.
+
+    numpy loads its OpenBLAS privately, so the symbols are looked up in that
+    file in the wheel's `numpy.libs`; loading it again returns the copy
+    numpy already uses.
+    """
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("*openblas*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+        except OSError:
+            continue
+        for get_name, set_name in (
+                ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+                ("openblas_get_num_threads", "openblas_set_num_threads")):
+            try:
+                get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+            except AttributeError:
+                continue
+            get.argtypes, get.restype = (), ctypes.c_int
+            set_.argtypes, set_.restype = (ctypes.c_int,), None
+            return get, set_
+    return None
 
 
 def _report(exc) -> None:
@@ -124,6 +152,15 @@ def _build_model(cfg):
     return net, head, rng
 
 
+def _try_out(path) -> None:
+    """Open `path` for writing and put it back as it was: an unwritable output
+    fails now, not after the work."""
+    existed = os.path.exists(path)
+    open(path, "ab").close()
+    if not existed:
+        os.remove(path)
+
+
 def cmd_train(args) -> int:
     cfg = cfgmod.load_config(args.config, env=os.environ)
     for name in ("train_list", "features_dir"):
@@ -132,10 +169,7 @@ def cmd_train(args) -> int:
             raise ConfigError(f"paths.{name} does not exist: {value}")
     if not cfg.train_list:
         raise ConfigError("paths.train_list is required for training")
-    out_existed = os.path.exists(args.out)
-    open(args.out, "ab").close()    # an unwritable --out fails now, not after training
-    if not out_existed:
-        os.remove(args.out)
+    _try_out(args.out)
     examples, speakers = _load_train_examples(cfg)
     if cfg.network.num_speakers == 0:
         cfg.network.num_speakers = len(speakers)
@@ -171,29 +205,143 @@ def _feature_path(features_dir: Path, trial_id: str) -> Path:
                             f"under {features_dir}")
 
 
+def _embed_share(ids, embed, catch):
+    """(results, error): embed(id) for each id in order, up to the first one
+    that raises one of `catch`, and that exception, or None."""
+    results = []
+    for tid in ids:
+        try:
+            results.append(embed(tid))
+        except catch as exc:
+            return results, exc
+    return results, None
+
+
+def _fork_share(ids, embed):
+    """(pid, pipe) of a forked child that embeds `ids`.
+
+    The child pickles `_embed_share`'s reply into the pipe, writes nothing
+    to stdout or stderr, and leaves by `os._exit`, so none of the parent's
+    clean-up runs in it.
+    """
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid:
+        os.close(write_fd)
+        return pid, os.fdopen(read_fd, "rb")
+    code = 1
+    try:
+        os.close(read_fd)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, 1)
+        os.dup2(devnull, 2)
+        reply = _embed_share(ids, embed, Exception)
+        with os.fdopen(write_fd, "wb") as pipe:
+            pickle.dump(reply, pipe)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _embed_shares(ids, n_shares, embed, first):
+    """`_embed_share`'s reply for each share ids[j::n_shares], given embed(ids[0]).
+
+    Share 0 runs here, the others in forked children. If share 0 raises
+    anything but an input error, the children are killed and reaped first.
+    """
+    children = []                       # (pid, pipe) per child not yet reaped
+    try:
+        for j in range(1, n_shares):
+            children.append(_fork_share(ids[j::n_shares], embed))
+        done, error = _embed_share(ids[n_shares::n_shares], embed, (FreqattnError, OSError))
+        replies = [([first] + done, error)]
+        while children:
+            pid, pipe = children[0]
+            data = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            children.pop(0)
+            pipe.close()
+            if code != 0:
+                how = f"signal {-code}" if code < 0 else f"exit status {code}"
+                raise ChildProcessError(
+                    f"embedding process {pid} ended without a result ({how})")
+            replies.append(pickle.loads(data))
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return replies
+
+
+def _embed_all(ids, embed, first):
+    """[embed(id) for id in ids], spread over the CPUs this process may use.
+
+    `first` is embed(ids[0]), which the caller made before anything else.
+    The ids are split into n interleaved shares ids[j::n], one per CPU in
+    the affinity mask and at most one per id: this process embeds share 0
+    and a forked child each of the others. Meanwhile every process runs one
+    BLAS thread, since n processes with several threads each would overload
+    n CPUs; the caller's thread count is restored afterwards. The error
+    raised is the one a single process would raise: that of the earliest
+    id that fails. Without `os.fork`, `os.sched_getaffinity` or OpenBLAS's
+    thread calls, every id is embedded here.
+    """
+    n_shares = 1
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        n_shares = min(len(ids), len(os.sched_getaffinity(0)))
+    blas = _openblas_threads() if n_shares > 1 else None
+    if blas is None:
+        return [first] + [embed(tid) for tid in ids[1:]]
+    get_threads, set_threads = blas
+    threads = get_threads()
+    set_threads(1)
+    try:
+        replies = _embed_shares(ids, n_shares, embed, first)
+    finally:
+        set_threads(threads)
+    failed = [(j + n_shares * len(done), error)
+              for j, (done, error) in enumerate(replies) if error is not None]
+    if failed:
+        raise min(failed, key=lambda f: f[0])[1]
+    results = [None] * len(ids)
+    for j, (done, _) in enumerate(replies):
+        results[j::n_shares] = done
+    return results
+
+
 def cmd_score(args) -> int:
     cfg, net = _load_model(args.checkpoint)
     with naming(args.trials):
         trials = mt.parse_trials(Path(args.trials).read_text())
         if not trials:
             raise ConfigError("empty trial list")
+    _try_out(args.out)
     features_dir = Path(args.features)
-    embeddings = {}
+    min_frames = sn.min_frames(cfg.network, cfg.mel.n_mels)
+
+    def embed(tid):
+        path = _feature_path(features_dir, tid)
+        x = feats.read_feat(path, cfg.mel.n_mels)
+        # a non-finite embedding is reported by embedding_norm, not warned about
+        with naming(path), np.errstate(over="ignore", invalid="ignore"):
+            if x.shape[1] < min_frames:
+                raise CapacityError(f"{x.shape[1]} frames, fewer than the {min_frames} "
+                                    f"that network.stages and attention.k need")
+            emb = sn.forward_embed(net, x[None, :, :])
+            return emb, mt.embedding_norm(emb)
+
+    # before any other work on the trial list: perfbench's setup_s ends here
+    first = embed(trials[0].enroll)
+    ids = list(dict.fromkeys(tid for trial in trials for tid in (trial.enroll, trial.test)))
+    embedded = dict(zip(ids, _embed_all(ids, embed, first)))
     for trial in trials:
-        for tid in (trial.enroll, trial.test):
-            if tid not in embeddings:
-                path = _feature_path(features_dir, tid)
-                x = feats.read_feat(path, cfg.mel.n_mels)
-                # a non-finite embedding is reported below, not warned about
-                with naming(path), np.errstate(over="ignore", invalid="ignore"):
-                    emb = sn.forward_embed(net, x[None, :, :])
-                    if not np.all(np.isfinite(emb)):
-                        raise NumericError("non-finite embedding")
-                    if np.linalg.norm(emb) == 0.0:     # what cosine_score rejects
-                        raise NumericError("zero-norm embedding")
-                embeddings[tid] = emb
-    for trial in trials:
-        trial.score = mt.cosine_score(embeddings[trial.enroll], embeddings[trial.test])
+        trial.score = mt.cosine_score(*embedded[trial.enroll], *embedded[trial.test])
     Path(args.out).write_text(mt.format_scores(trials))
     print(f"scored={len(trials)} out={args.out}")
     return 0

@@ -37,12 +37,23 @@ class EvalMetrics:
     min_dcf: float
 
 
-def cosine_score(a: np.ndarray, b: np.ndarray) -> float:
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        raise NumericError("cosine_score: zero-norm vector")
-    return float(np.dot(a, b) / (na * nb))
+def embedding_norm(emb: np.ndarray) -> float:
+    """L2 norm of an embedding that can be scored: finite, not all zero, and
+    small enough that its norm does not overflow (a cosine over an infinite
+    norm reads 0 or nan)."""
+    if not np.all(np.isfinite(emb)):
+        raise NumericError("non-finite embedding")
+    norm = np.linalg.norm(emb)
+    if norm == 0.0:
+        raise NumericError("zero-norm embedding")
+    if not np.isfinite(norm):
+        raise NumericError("embedding norm overflows")
+    return norm
+
+
+def cosine_score(a: np.ndarray, norm_a: float, b: np.ndarray, norm_b: float) -> float:
+    """Cosine similarity of a and b, given their `embedding_norm`s."""
+    return float(np.dot(a, b) / (norm_a * norm_b))
 
 
 def _split_scores(trials):

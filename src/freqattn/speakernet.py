@@ -20,7 +20,8 @@ import numpy as np
 from . import attention
 from .errors import ConfigError, DimensionError, FormatError, NumericError, naming
 from .features import Reader, crop, pack_array, pack_text, pack_u32, spec_mask
-from .tensor import Parameter, conv2d, conv2d_backward, relu, relu_backward
+from .tensor import (Parameter, conv2d, conv2d_backward, conv2d_output_shape, relu,
+                     relu_backward)
 
 CKPT_MAGIC = b"FAMC"
 CKPT_VERSION = 1
@@ -147,6 +148,28 @@ def _forward(net: SpeakerNet, x: np.ndarray, cache: Optional[_ForwardCache]):
 def forward_embed(net: SpeakerNet, features: np.ndarray) -> np.ndarray:
     """Pure inference path: features (in_channels, F, T) -> embedding."""
     return _forward(net, features, None)
+
+
+def min_frames(cfg: NetworkConfig, n_mels: int) -> int:
+    """Fewest input frames that every attention variant of this network embeds.
+
+    sfsc and mfsc read the attention_k[i] lowest DCT planes of stage i's
+    F x T map, so that map needs F * T >= attention_k[i]. se reads only the
+    mean, but is held to the same length, so which utterances a network
+    accepts does not depend on its variant. Walks the stages backwards from
+    the frames each one must output to the frames it must be given.
+    """
+    f_outs = []
+    f_dim = n_mels
+    for _, kernel, stride in cfg.stages:
+        f_dim = conv2d_output_shape(f_dim, 1, kernel, 1, stride, kernel // 2)[0]
+        f_outs.append(f_dim)
+    frames = 1
+    for (_, kernel, stride), f_out, k in zip(reversed(cfg.stages), reversed(f_outs),
+                                             reversed(cfg.attention_k)):
+        frames = max(frames, -(-k // f_out))
+        frames = max(1, (frames - 1) * stride + kernel - 2 * (kernel // 2))
+    return frames
 
 
 def forward_train(net: SpeakerNet, features: np.ndarray):

@@ -1,5 +1,7 @@
 import os
 import platform
+import re
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -563,10 +565,13 @@ def save_untrained_checkpoint(path, cfg):
                        net.parameters() + head.parameters())
 
 
+def run_score(ckpt, trials, features_dir, out):
+    return cli.main(["score", "--checkpoint", str(ckpt), "--trials", str(trials),
+                     "--features", str(features_dir), "--out", str(out)])
+
+
 class TestScoreRejectsBadInputs:
-    def score(self, ckpt, trials, features_dir, out):
-        return cli.main(["score", "--checkpoint", str(ckpt), "--trials", str(trials),
-                         "--features", str(features_dir), "--out", str(out)])
+    score = staticmethod(run_score)
 
     def test_checkpoint_cut_at_every_offset(self, synth_dir, tmp_path, capsys):
         # the smallest network keeps the loop short; every field kind is still cut
@@ -601,8 +606,34 @@ class TestScoreRejectsBadInputs:
         rc = self.score(ckpt, trials, tmp_path, tmp_path / "s.txt")
         assert rc == 1
         assert capsys.readouterr().err == (
-            f"error: {tmp_path / 'short.feat'}: cannot select k=16 frequency "
-            f"components from a 8x1 grid (8 available)\n")
+            f"error: {tmp_path / 'short.feat'}: 6 frames, fewer than the 9 that "
+            f"network.stages and attention.k need\n")
+
+    @pytest.mark.parametrize("frames", [1, 8, 9])
+    def test_minimum_length_is_the_same_for_every_variant(self, tmp_path, capsys,
+                                                          frames):
+        # the default network's k = 4,8,16 need 9 frames, whatever the variant
+        rng = np.random.default_rng(0)
+        feats.write_feat(tmp_path / "long.feat", rng.standard_normal((64, 200)))
+        feats.write_feat(tmp_path / "utt.feat", rng.standard_normal((64, frames)))
+        trials = tmp_path / "trials.txt"
+        trials.write_text("1 long.feat utt.feat\n")
+        outcomes = []
+        for variant, aggregation in (("se", "avg"), ("sfsc", "avg"), ("mfsc", "avg_max")):
+            cfg = cfgmod.RunConfig()
+            cfg.network.attention_variant = variant
+            cfg.network.aggregation = aggregation
+            cfg.network.num_speakers = 2
+            ckpt = tmp_path / f"{variant}.ckpt"
+            save_untrained_checkpoint(ckpt, cfg)
+            rc = self.score(ckpt, trials, tmp_path, tmp_path / f"{variant}.txt")
+            outcomes.append((rc, capsys.readouterr().err))
+        if frames < 9:
+            assert outcomes == 3 * [(1, f"error: {tmp_path / 'utt.feat'}: {frames} frames, "
+                                        f"fewer than the 9 that network.stages and "
+                                        f"attention.k need\n")]
+        else:
+            assert outcomes == 3 * [(0, "")]
 
     @pytest.mark.parametrize("damage", ["parse", "range", "utf8"])
     def test_bad_embedded_config_names_checkpoint(self, synth_dir, tmp_path, capsys,
@@ -633,7 +664,7 @@ class TestScoreRejectsBadInputs:
                 "utf8": "not UTF-8"}[damage] in err
         assert not (tmp_path / "s.txt").exists()
 
-    @pytest.mark.parametrize("damage", ["nan_weight", "scaled_1e300"])
+    @pytest.mark.parametrize("damage", ["nan_weight", "scaled_1e300", "proj_1e160"])
     def test_non_finite_embedding_names_feature_file(self, synth_dir, tmp_path,
                                                      damage):
         cfg = tiny_run_config()
@@ -643,6 +674,8 @@ class TestScoreRejectsBadInputs:
         params = net.parameters() + head.parameters()
         if damage == "nan_weight":
             params[0].value[0, 0, 1, 1] = np.nan
+        elif damage == "proj_1e160":        # finite embeddings whose norm overflows
+            net.proj.value *= 1e160
         else:
             for p in params:
                 p.value *= 1e300
@@ -662,6 +695,9 @@ class TestScoreRejectsBadInputs:
         if damage == "nan_weight":      # rejected as the checkpoint is read
             assert proc.stderr == (f"error: {ckpt}: non-finite value nan in stage0.conv.w "
                                    f"at [0, 0, 1, 1] (1 in all)\n")
+        elif damage == "proj_1e160":
+            assert proc.stderr == (f"error: {synth_dir / 'feats' / first}: "
+                                   f"embedding norm overflows\n")
         else:                           # finite weights whose embeddings overflow
             assert proc.stderr == (f"error: {synth_dir / 'feats' / first}: "
                                    f"non-finite embedding\n")
@@ -683,6 +719,171 @@ class TestScoreRejectsBadInputs:
         assert capsys.readouterr().err == (
             f"error: {synth_dir / 'feats' / first}: zero-norm embedding\n")
         assert not scores.exists()
+
+
+def split_checkpoint(path, variant, aggregation="avg"):
+    cfg = tiny_run_config()
+    cfg.network.attention_variant = variant
+    cfg.network.aggregation = aggregation
+    cfg.network.num_speakers = 4
+    save_untrained_checkpoint(path, cfg)
+    return path
+
+
+def assert_reaped(pids):
+    # waitpid(-1) would also see children that other tests leave, such as the
+    # resource tracker of a spawn-context pool
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+class TestScoreSplit:
+    """score embeds one interleaved share of the utterances per CPU in its
+    affinity mask, the first share here and each other in a forked child."""
+
+    @pytest.fixture
+    def cpus(self, monkeypatch):
+        """Set the affinity mask score sees to n CPUs; returns the pids it forks."""
+        forks = []
+        fork = os.fork
+
+        def recording_fork():
+            pid = fork()
+            if pid:
+                forks.append(pid)
+            return pid
+        monkeypatch.setattr(os, "fork", recording_fork)
+
+        def set_cpus(n):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+            forks.clear()
+            return forks
+        return set_cpus
+
+    score = staticmethod(run_score)
+
+    @pytest.mark.parametrize("variant,aggregation",
+                             [("se", "avg"), ("sfsc", "avg"), ("mfsc", "avg_max")])
+    def test_scores_are_byte_identical_at_any_cpu_count(self, synth_dir, tmp_path,
+                                                        capsys, cpus, variant,
+                                                        aggregation):
+        ckpt = split_checkpoint(tmp_path / "m.ckpt", variant, aggregation)
+        split = cli._openblas_threads() is not None
+        outputs = []
+        for n in (1, 2, 3):
+            forks = cpus(n)
+            out = tmp_path / f"s{n}.txt"
+            assert self.score(ckpt, synth_dir / "trials.txt", synth_dir / "feats", out) == 0
+            assert len(forks) == (n - 1 if split else 0)
+            outputs.append(out.read_bytes())
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+    def test_one_process_without_sched_getaffinity(self, synth_dir, tmp_path, capsys,
+                                                   cpus, monkeypatch):
+        ckpt = split_checkpoint(tmp_path / "m.ckpt", "sfsc")
+        forks = cpus(2)
+        monkeypatch.delattr(os, "sched_getaffinity")
+        out = tmp_path / "s.txt"
+        assert self.score(ckpt, synth_dir / "trials.txt", synth_dir / "feats", out) == 0
+        assert forks == []
+        assert len(out.read_text().splitlines()) == 20
+
+    @pytest.mark.parametrize("first,second", [("narrow.feat", "ghost.feat"),
+                                              ("ghost.feat", "cut.feat")])
+    def test_first_bad_utterance_is_reported_from_any_share(self, synth_dir, tmp_path,
+                                                            capsys, cpus, first, second):
+        # two bad ids side by side, at each position: every share count must
+        # report the first, as one process does
+        ckpt = split_checkpoint(tmp_path / "m.ckpt", "sfsc")
+        good = sorted(p.name for p in (synth_dir / "feats").glob("*utt00[45].feat"))
+        for name in good:
+            os.symlink(synth_dir / "feats" / name, tmp_path / name)
+        feats.write_feat(tmp_path / "narrow.feat", np.ones((2, 300)))   # 2 mel bins
+        (tmp_path / "cut.feat").write_bytes(b"FEAT\x01\x00")             # ghost.feat: none
+        trials = tmp_path / "trials.txt"
+        for position in range(len(good) + 1):
+            ids = good[:position] + [first, second] + good[position:]
+            trials.write_text("".join(f"1 {a} {b}\n" for a, b in zip(ids, ids[1:])))
+            errors = []
+            for n in (1, 2, 3):
+                cpus(n)
+                assert self.score(ckpt, trials, tmp_path, tmp_path / "s.txt") == 1
+                errors.append(capsys.readouterr().err)
+            assert errors[0].count("\n") == 1 and first in errors[0], errors[0]
+            assert errors == 3 * errors[:1], position
+            assert not (tmp_path / "s.txt").exists()
+
+    @pytest.mark.parametrize("outcome", ["success", "bad_input", "main_share_bug"])
+    def test_no_child_is_left(self, synth_dir, tmp_path, capsys, cpus, monkeypatch,
+                              outcome):
+        ckpt = split_checkpoint(tmp_path / "m.ckpt", "mfsc", "avg_max")
+        features, trials = synth_dir / "feats", synth_dir / "trials.txt"
+        if outcome == "bad_input":       # the last trial's test utterance
+            features = tmp_path
+            last = trials.read_text().split()[-1]
+            for p in (synth_dir / "feats").glob("*.feat"):
+                if p.name != last:
+                    os.symlink(p, tmp_path / p.name)
+            feats.write_feat(tmp_path / last, np.zeros((2, 300)))
+        elif outcome == "main_share_bug":
+            main_pid, embed, calls = os.getpid(), sn.forward_embed, []
+
+            def second_embedding_here_fails(*args):
+                if os.getpid() == main_pid:
+                    calls.append(1)
+                    if len(calls) == 2:
+                        raise RuntimeError("not a bad input")
+                return embed(*args)
+            monkeypatch.setattr(sn, "forward_embed", second_embedding_here_fails)
+        forks = cpus(3)
+        out = tmp_path / "s.txt"
+        if outcome == "main_share_bug":
+            with pytest.raises(RuntimeError, match="not a bad input"):
+                self.score(ckpt, trials, features, out)
+        else:
+            assert self.score(ckpt, trials, features, out) == (outcome == "bad_input")
+        if cli._openblas_threads() is not None:
+            assert len(forks) == 2
+        assert_reaped(forks)
+
+    def test_child_that_dies_is_one_error_line(self, synth_dir, tmp_path, capsys, cpus,
+                                               monkeypatch):
+        if cli._openblas_threads() is None:
+            pytest.skip("score runs in one process without OpenBLAS's thread calls")
+        ckpt = split_checkpoint(tmp_path / "m.ckpt", "se")
+        main_pid, embed = os.getpid(), sn.forward_embed
+
+        def die_in_child(*args):
+            if os.getpid() != main_pid:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return embed(*args)
+        monkeypatch.setattr(sn, "forward_embed", die_in_child)
+        forks = cpus(2)
+        out = tmp_path / "s.txt"
+        assert self.score(ckpt, synth_dir / "trials.txt", synth_dir / "feats", out) == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: embedding process \d+ ended without a result "
+                            r"\(signal 9\)\n", err), err
+        assert not out.exists()
+        assert_reaped(forks)
+
+    def test_blas_thread_count_is_restored(self, synth_dir, tmp_path, capsys, cpus):
+        blas = cli._openblas_threads()
+        if blas is None:
+            pytest.skip("numpy's OpenBLAS thread calls are not available")
+        get_threads, set_threads = blas
+        ckpt = split_checkpoint(tmp_path / "m.ckpt", "sfsc")
+        before = get_threads()
+        try:
+            set_threads(3)
+            forks = cpus(2)
+            assert self.score(ckpt, synth_dir / "trials.txt", synth_dir / "feats",
+                              tmp_path / "s.txt") == 0
+            assert len(forks) == 1
+            assert get_threads() == 3
+        finally:
+            set_threads(before)
 
 
 # one bad value (or pair) per case, and text the error must hold: the field
@@ -757,6 +958,16 @@ class BadInput:
     def __init__(self, tmp_path, synth_dir, checkpoint, monkeypatch):
         self.tmp, self.synth_dir, self.checkpoint = tmp_path, synth_dir, checkpoint
         self.setenv = monkeypatch.setenv
+        self.setattr = monkeypatch.setattr
+
+    def score(self, out):
+        """A score command whose --out is `out`; it fails if it reaches an embedding."""
+        def never(*args):
+            raise AssertionError("score embedded an utterance before trying --out")
+        self.setattr(sn, "forward_embed", never)
+        return ["score", "--checkpoint", str(self.checkpoint),
+                "--trials", str(self.synth_dir / "trials.txt"),
+                "--features", str(self.synth_dir / "feats"), "--out", str(out)]
 
     def config(self, *extra_lines, train_list=None):
         cfg = tiny_run_config()
@@ -857,6 +1068,17 @@ def _train_out_in_missing_dir(w):
     return w.train(out=out), f"{out}: No such file or directory"
 
 
+def _score_out_is_directory(w):
+    out = w.tmp / "out"
+    out.mkdir()
+    return w.score(out), f"{out}: Is a directory"
+
+
+def _score_out_in_missing_dir(w):
+    out = w.tmp / "missing" / "s.txt"
+    return w.score(out), f"{out}: No such file or directory"
+
+
 def _train_config_is_directory(w):
     return w.train(config=w.tmp), f"{w.tmp}: Is a directory"
 
@@ -882,6 +1104,7 @@ BAD_INPUT_CASES = {fn.__name__.lstrip("_"): fn for fn in (
     _non_utf8_train_list, _narrow_feat_scored, _one_speaker_trained,
     _speaker_count_mismatch, _mixed_bin_counts_trained,
     _train_out_is_directory, _train_out_in_missing_dir, _train_config_is_directory,
+    _score_out_is_directory, _score_out_in_missing_dir,
     _extract_out_is_file, _extract_without_wavs)}
 
 

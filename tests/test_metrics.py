@@ -44,21 +44,44 @@ def min_dcf_brute_force(targets, nontargets, p_target=0.05, grid=20001):
     return best / min(p_target, 1 - p_target)
 
 
+def cosine(a, b):
+    return mt.cosine_score(a, mt.embedding_norm(a), b, mt.embedding_norm(b))
+
+
 class TestCosine:
     def test_identical(self):
         v = np.array([0.3, -1.2, 0.5])
-        assert mt.cosine_score(v, v) == pytest.approx(1.0)
+        assert cosine(v, v) == pytest.approx(1.0)
 
     def test_orthogonal(self):
-        assert mt.cosine_score(np.array([1.0, 0.0]), np.array([0.0, 2.0])) == 0.0
+        assert cosine(np.array([1.0, 0.0]), np.array([0.0, 2.0])) == 0.0
 
     def test_hand_value(self):
-        got = mt.cosine_score(np.array([1.0, 0.0]), np.array([1.0, 1.0]))
+        got = cosine(np.array([1.0, 0.0]), np.array([1.0, 1.0]))
         assert got == pytest.approx(0.70710678, abs=1e-8)
 
     def test_zero_vector(self):
-        with pytest.raises(NumericError):
-            mt.cosine_score(np.zeros(3), np.ones(3))
+        with pytest.raises(NumericError, match="zero-norm embedding"):
+            mt.embedding_norm(np.zeros(3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_vector(self, bad):
+        with pytest.raises(NumericError, match="non-finite embedding"):
+            mt.embedding_norm(np.array([1.0, bad]))
+
+    def test_norm_overflow(self):
+        # cos = 1, but the norm overflows: the old per-trial norms scored it 0.0
+        with pytest.raises(NumericError, match="embedding norm overflows"), \
+                np.errstate(over="ignore"):
+            mt.embedding_norm(np.array([1e160, 0.0]))
+
+    def test_equals_norms_taken_per_call(self):
+        # the score from norms taken once is bitwise the score that takes them itself
+        rng = np.random.default_rng(0)
+        for _ in range(100):
+            a, b = rng.standard_normal((2, 64)) * rng.uniform(1e-3, 1e3, 2)[:, None]
+            assert cosine(a, b) == float(np.dot(a, b) / (np.linalg.norm(a)
+                                                         * np.linalg.norm(b)))
 
 
 class TestEer:

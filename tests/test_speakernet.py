@@ -5,7 +5,7 @@ from gradcheck import grad_check
 from freqattn import features as ft
 from freqattn import speakernet as sn
 from freqattn import tensor as tz
-from freqattn.errors import (ConfigError, DimensionError, FormatError,
+from freqattn.errors import (CapacityError, ConfigError, DimensionError, FormatError,
                              NumericError)
 
 
@@ -62,6 +62,22 @@ class TestForwardEmbed:
         net = sn.SpeakerNet(sn.NetworkConfig(), np.random.default_rng(6))
         with pytest.raises(DimensionError):
             sn.forward_embed(net, np.zeros((1, 64, 0)))
+
+    @pytest.mark.parametrize("stages,k", [
+        (((16, 3, 2), (32, 3, 2), (64, 3, 2)), (4, 8, 16)),
+        (((8, 3, 2), (16, 3, 2)), (2, 4)),
+        (((8, 5, 1), (8, 3, 3)), (8, 40)),
+        (((8, 4, 2), (8, 1, 2), (8, 3, 2)), (64, 2, 24)),
+    ])
+    def test_min_frames_is_the_shortest_input_mfsc_embeds(self, stages, k):
+        cfg = sn.NetworkConfig(stages=stages, attention_k=k, attention_variant="mfsc",
+                               reduction=4)
+        net = sn.SpeakerNet(cfg, np.random.default_rng(8))
+        n = sn.min_frames(cfg, 16)
+        assert sn.forward_embed(net, np.ones((1, 16, n))).shape == (64,)
+        if n > 1:
+            with pytest.raises(CapacityError):
+                sn.forward_embed(net, np.ones((1, 16, n - 1)))
 
     def test_variant_swap_preserves_all_shapes(self):
         x = np.random.default_rng(7).standard_normal((1, 64, 200))
