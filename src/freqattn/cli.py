@@ -2,7 +2,8 @@
 
 Subcommands: verify-dct, extract, train, score, metrics, synth. Output is
 stable key=value text on stdout; per-file problems go to stderr and flip
-the exit code. FREQATTN_SEED in the environment overrides the config seed.
+the exit code. FREQATTN_SEED in the environment overrides the seed of train
+and synth.
 """
 
 from __future__ import annotations
@@ -58,21 +59,16 @@ def _openblas_threads():
     numpy already uses.
     """
     libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-    for path in sorted(libs.glob("*openblas*")):
+    for path in sorted(libs.glob("*scipy_openblas*")):
         try:
             lib = ctypes.CDLL(str(path))
-        except OSError:
+            get = lib.scipy_openblas_get_num_threads64_
+            set_ = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
             continue
-        for get_name, set_name in (
-                ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-                ("openblas_get_num_threads", "openblas_set_num_threads")):
-            try:
-                get, set_ = getattr(lib, get_name), getattr(lib, set_name)
-            except AttributeError:
-                continue
-            get.argtypes, get.restype = (), ctypes.c_int
-            set_.argtypes, set_.restype = (ctypes.c_int,), None
-            return get, set_
+        get.argtypes, get.restype = (), ctypes.c_int
+        set_.argtypes, set_.restype = (ctypes.c_int,), None
+        return get, set_
     return None
 
 
@@ -94,8 +90,7 @@ def cmd_verify_dct(args) -> int:
 
 
 def cmd_extract(args) -> int:
-    cfg = cfgmod.load_config(args.config, env=os.environ) if args.config \
-        else cfgmod.RunConfig()
+    cfg = cfgmod.load_config(args.config) if args.config else cfgmod.RunConfig()
     in_dir = Path(args.in_dir)
     wavs = sorted(in_dir.glob("*.wav"))
     if not wavs:
@@ -162,7 +157,8 @@ def _try_out(path) -> None:
 
 
 def cmd_train(args) -> int:
-    cfg = cfgmod.load_config(args.config, env=os.environ)
+    cfg = cfgmod.load_config(args.config)
+    cfg.seed = cfgmod.env_seed(os.environ, cfg.seed)
     for name in ("train_list", "features_dir"):
         value = getattr(cfg, name)
         if value and not Path(value).exists():
@@ -205,16 +201,17 @@ def _feature_path(features_dir: Path, trial_id: str) -> Path:
                             f"under {features_dir}")
 
 
-def _embed_share(ids, embed, catch):
-    """(results, error): embed(id) for each id in order, up to the first one
-    that raises one of `catch`, and that exception, or None."""
+def _embed_share(ids, embed):
+    """embed(id) for each id in order; the first exception takes its id's
+    place and ends the list."""
     results = []
     for tid in ids:
         try:
             results.append(embed(tid))
-        except catch as exc:
-            return results, exc
-    return results, None
+        except Exception as exc:
+            results.append(exc)
+            break
+    return results
 
 
 def _fork_share(ids, embed):
@@ -240,43 +237,12 @@ def _fork_share(ids, embed):
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, 1)
         os.dup2(devnull, 2)
-        reply = _embed_share(ids, embed, Exception)
+        reply = _embed_share(ids, embed)
         with os.fdopen(write_fd, "wb") as pipe:
             pickle.dump(reply, pipe)
         code = 0
     finally:
         os._exit(code)
-
-
-def _embed_shares(ids, n_shares, embed, first):
-    """`_embed_share`'s reply for each share ids[j::n_shares], given embed(ids[0]).
-
-    Share 0 runs here, the others in forked children. If share 0 raises
-    anything but an input error, the children are killed and reaped first.
-    """
-    children = []                       # (pid, pipe) per child not yet reaped
-    try:
-        for j in range(1, n_shares):
-            children.append(_fork_share(ids[j::n_shares], embed))
-        done, error = _embed_share(ids[n_shares::n_shares], embed, (FreqattnError, OSError))
-        replies = [([first] + done, error)]
-        while children:
-            pid, pipe = children[0]
-            data = pipe.read()
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            children.pop(0)
-            pipe.close()
-            if code != 0:
-                how = f"signal {-code}" if code < 0 else f"exit status {code}"
-                raise ChildProcessError(
-                    f"embedding process {pid} ended without a result ({how})")
-            replies.append(pickle.loads(data))
-    finally:
-        for pid, pipe in children:
-            pipe.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-    return replies
 
 
 def _embed_all(ids, embed, first):
@@ -287,31 +253,50 @@ def _embed_all(ids, embed, first):
     the affinity mask and at most one per id: this process embeds share 0
     and a forked child each of the others. Meanwhile every process runs one
     BLAS thread, since n processes with several threads each would overload
-    n CPUs; the caller's thread count is restored afterwards. The error
-    raised is the one a single process would raise: that of the earliest
-    id that fails. Without `os.fork`, `os.sched_getaffinity` or OpenBLAS's
-    thread calls, every id is embedded here.
+    n CPUs; the caller's thread count is restored afterwards. Without
+    `os.sched_getaffinity` or OpenBLAS's thread calls, n is 1: nothing is
+    forked and no BLAS call is made. The error raised is the one a single
+    process would raise: that of the earliest id that fails.
     """
-    n_shares = 1
-    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
-        n_shares = min(len(ids), len(os.sched_getaffinity(0)))
-    blas = _openblas_threads() if n_shares > 1 else None
+    n = 1
+    if hasattr(os, "sched_getaffinity"):
+        n = min(len(ids), len(os.sched_getaffinity(0)))
+    blas = _openblas_threads() if n > 1 else None
     if blas is None:
-        return [first] + [embed(tid) for tid in ids[1:]]
-    get_threads, set_threads = blas
-    threads = get_threads()
-    set_threads(1)
-    try:
-        replies = _embed_shares(ids, n_shares, embed, first)
-    finally:
-        set_threads(threads)
-    failed = [(j + n_shares * len(done), error)
-              for j, (done, error) in enumerate(replies) if error is not None]
-    if failed:
-        raise min(failed, key=lambda f: f[0])[1]
+        n = 1
+    else:
+        get_threads, set_threads = blas
+        threads = get_threads()
+        set_threads(1)
     results = [None] * len(ids)
-    for j, (done, _) in enumerate(replies):
-        results[j::n_shares] = done
+    children = []                       # (pid, pipe) per child not yet reaped
+    try:
+        for j in range(1, n):
+            children.append(_fork_share(ids[j::n], embed))
+        share = [first] + _embed_share(ids[n::n], embed)
+        results[0:n * len(share):n] = share
+        for j in range(1, n):
+            pid, pipe = children[0]
+            data = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            children.pop(0)
+            pipe.close()
+            if code != 0:
+                how = f"signal {-code}" if code < 0 else f"exit status {code}"
+                raise ChildProcessError(
+                    f"embedding process {pid} ended without a result ({how})")
+            share = pickle.loads(data)
+            results[j:j + n * len(share):n] = share
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        if blas is not None:
+            set_threads(threads)
+    for result in results:
+        if isinstance(result, Exception):
+            raise result
     return results
 
 

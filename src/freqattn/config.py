@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .errors import ConfigError, ParseError, naming
 from .features import MelConfig
-from .speakernet import NetworkConfig, TrainOptions
+from .speakernet import NetworkConfig, TrainOptions, min_frames
 
 
 def check_seed(value, source: str) -> int:
@@ -49,6 +49,14 @@ class RunConfig:
         if not (self.margin >= 0.0 and self.scale > 0.0):
             raise ConfigError(f"margin must be >= 0 and scale > 0, got "
                               f"{self.margin} and {self.scale}")
+        self.train.frames_per_second = 1000.0 / self.mel.frame_shift_ms
+        frames = self.train.crop_seconds * self.train.frames_per_second
+        need = min_frames(self.network, self.mel.n_mels)
+        if not (frames < math.inf and round(frames) >= need):
+            raise ConfigError(f"crop_seconds={self.train.crop_seconds} must give a finite "
+                              f"crop of >= {need} frames at {self.train.frames_per_second} "
+                              f"frames/s, the fewest that network.stages and "
+                              f"attention.k need")
 
 
 # on-disk key -> (RunConfig attribute holding the field, or None for RunConfig
@@ -151,12 +159,9 @@ def parse_config(text: str) -> RunConfig:
             values[owner][name] = _parse_value(key, value.strip(), target)
         except ParseError as exc:
             raise ParseError(f"line {lineno}: {exc}") from exc
-    mel = MelConfig(**values["mel"])
-    return RunConfig(
-        mel=mel, network=NetworkConfig(**values["network"]),
-        train=TrainOptions(frames_per_second=1000.0 / mel.frame_shift_ms,
-                           **values["train"]),
-        **values[None])
+    return RunConfig(mel=MelConfig(**values["mel"]),
+                     network=NetworkConfig(**values["network"]),
+                     train=TrainOptions(**values["train"]), **values[None])
 
 
 def env_seed(env, default: int) -> int:
@@ -164,10 +169,7 @@ def env_seed(env, default: int) -> int:
     return check_seed(env.get("FREQATTN_SEED", default), "FREQATTN_SEED")
 
 
-def load_config(path, env) -> RunConfig:
-    """Read a config file, naming it in any parse or range error;
-    FREQATTN_SEED in `env` overrides the seed."""
+def load_config(path) -> RunConfig:
+    """Read a config file, naming it in any parse or range error."""
     with naming(path):
-        cfg = parse_config(Path(path).read_text())
-    cfg.seed = env_seed(env, cfg.seed)
-    return cfg
+        return parse_config(Path(path).read_text())

@@ -98,13 +98,16 @@ class TestConfigFormat:
         cfg = cfgmod.parse_config("# comment\n\nseed = 5\n")
         assert cfg.seed == 5
 
-    def test_env_seed_override(self, tmp_path):
-        p = tmp_path / "run.cfg"
-        p.write_text("seed = 5\n")
-        cfg = cfgmod.load_config(p, env={"FREQATTN_SEED": "123"})
-        assert cfg.seed == 123
-        cfg = cfgmod.load_config(p, env={})
-        assert cfg.seed == 5
+    def test_env_seed_override(self):
+        assert cfgmod.env_seed({"FREQATTN_SEED": "123"}, 5) == 123
+        assert cfgmod.env_seed({}, 5) == 5
+
+    def test_frames_per_second_follows_frame_shift(self):
+        cfg = cfgmod.RunConfig(mel=feats.MelConfig(frame_shift_ms=20.0))
+        assert cfg.train.frames_per_second == 50.0
+        back = cfgmod.parse_config(cfgmod.serialize_config(cfg))
+        assert back.train.frames_per_second == 50.0
+        assert back == cfg
 
 
 class TestVerifyDct:
@@ -195,6 +198,19 @@ class TestExtract:
         assert cli.main(["extract", "--in", str(in_dir), "--out", str(out_dir)]) == 1
         assert capsys.readouterr().err == f"error: no .wav files in {in_dir}\n"
         assert not out_dir.exists()
+
+    def test_seed_environment_is_not_read(self, tmp_path, capsys, monkeypatch):
+        # extract draws no random numbers, so a bad FREQATTN_SEED is no error here
+        in_dir = tmp_path / "wav"
+        in_dir.mkdir()
+        self.write_wavs(in_dir, n=1)
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(cfgmod.serialize_config(cfgmod.RunConfig()))
+        monkeypatch.setenv("FREQATTN_SEED", "abc")
+        assert cli.main(["extract", "--in", str(in_dir), "--out", str(tmp_path / "feat"),
+                         "--config", str(cfg_path)]) == 0
+        assert capsys.readouterr().err == ""
+        assert (tmp_path / "feat" / "u0.feat").exists()
 
     def test_rerun_bitwise_identical(self, tmp_path, capsys):
         in_dir = tmp_path / "wav"
@@ -847,6 +863,72 @@ class TestScoreSplit:
             assert len(forks) == 2
         assert_reaped(forks)
 
+    def test_bug_in_a_child_reaches_the_caller(self, synth_dir, tmp_path, capsys, cpus,
+                                               monkeypatch):
+        if cli._openblas_threads() is None:
+            pytest.skip("score runs in one process without OpenBLAS's thread calls")
+        ckpt = split_checkpoint(tmp_path / "m.ckpt", "sfsc")
+        main_pid, embed = os.getpid(), sn.forward_embed
+
+        def fail_in_child(*args):
+            if os.getpid() != main_pid:
+                raise RuntimeError(f"bug in process {os.getpid()}")
+            return embed(*args)
+        monkeypatch.setattr(sn, "forward_embed", fail_in_child)
+        forks = cpus(3)
+        out = tmp_path / "s.txt"
+        with pytest.raises(RuntimeError) as caught:
+            self.score(ckpt, synth_dir / "trials.txt", synth_dir / "feats", out)
+        assert len(forks) == 2
+        assert str(caught.value) == f"bug in process {forks[0]}"    # the first id's
+        assert not out.exists()
+        assert_reaped(forks)
+
+    def test_interrupt_in_the_main_share_kills_the_children(self, synth_dir, tmp_path,
+                                                           capsys, cpus, monkeypatch):
+        # an Exception in the main share waits for the children's replies; only
+        # a BaseException (or a child that dies) leaves children to kill
+        blas = cli._openblas_threads()
+        if blas is None:
+            pytest.skip("score runs in one process without OpenBLAS's thread calls")
+        ckpt = split_checkpoint(tmp_path / "m.ckpt", "mfsc", "avg_max")
+        main_pid, embed, calls = os.getpid(), sn.forward_embed, []
+
+        def second_embedding_here_is_interrupted(*args):
+            if os.getpid() == main_pid:
+                calls.append(1)
+                if len(calls) == 2:
+                    raise KeyboardInterrupt
+            return embed(*args)
+        monkeypatch.setattr(sn, "forward_embed", second_embedding_here_is_interrupted)
+        threads = blas[0]()
+        forks = cpus(3)
+        out = tmp_path / "s.txt"
+        with pytest.raises(KeyboardInterrupt):
+            self.score(ckpt, synth_dir / "trials.txt", synth_dir / "feats", out)
+        assert len(forks) == 2
+        assert_reaped(forks)
+        assert blas[0]() == threads
+        assert not out.exists()
+
+    def test_openblas_thread_calls_are_found(self):
+        # the split tests above expect no fork when these calls are missing, so
+        # they alone would not see a lookup that stopped working
+        libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+        if not any(libs.glob("*scipy_openblas*")):
+            pytest.skip("this numpy bundles no scipy-openblas library")
+        blas = cli._openblas_threads()
+        assert blas is not None
+        get_threads, set_threads = blas
+        before = get_threads()
+        try:
+            for count in (1, 3):
+                set_threads(count)
+                assert get_threads() == count
+        finally:
+            set_threads(before)
+        assert get_threads() == before
+
     def test_child_that_dies_is_one_error_line(self, synth_dir, tmp_path, capsys, cpus,
                                                monkeypatch):
         if cli._openblas_threads() is None:
@@ -903,6 +985,9 @@ BAD_CONFIG_CASES = {
     "margin_negative": ({"loss.margin": "-0.1"}, "margin"),
     "batch_zero": ({"optimizer.batch": "0"}, "batch_size"),
     "crop_huge": ({"features.crop_seconds": "1e308"}, "crop_seconds"),
+    # 5 frames; k = 64 on the 16 frequency rows of the second stage needs 13
+    "crop_below_min_frames": ({"features.crop_seconds": "0.05", "attention.k": "16,64"},
+                              "crop of >= 13 frames"),
     "frame_len_overflow": ({"features.frame_len_ms": "1e306"}, "frame_len_ms"),
     "sample_rate_401_digits": ({"features.sample_rate": "9" * 401}, "sample_rate"),
     "fmax_at_sample_rate": ({"features.fmax": "16000.0"}, "fmax=16000.0 Hz is above"),
