@@ -12,9 +12,7 @@ import argparse
 import ctypes
 import itertools
 import os
-import pickle
 import platform
-import signal
 import sys
 from pathlib import Path
 
@@ -24,6 +22,7 @@ from . import config as cfgmod
 from . import dct
 from . import features as feats
 from . import metrics as mt
+from . import shares
 from . import speakernet as sn
 from .errors import CapacityError, ConfigError, FreqattnError, ParseError, naming
 
@@ -49,27 +48,6 @@ def _keep_freed_memory() -> None:
     mallopt.restype = ctypes.c_int
     mallopt(_M_TRIM_THRESHOLD, 64 << 20)
     mallopt(_M_MMAP_THRESHOLD, 32 << 20)
-
-
-def _openblas_threads():
-    """(get, set) of the thread count of numpy's bundled OpenBLAS, or None.
-
-    numpy loads its OpenBLAS privately, so the symbols are looked up in that
-    file in the wheel's `numpy.libs`; loading it again returns the copy
-    numpy already uses.
-    """
-    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-    for path in sorted(libs.glob("*scipy_openblas*")):
-        try:
-            lib = ctypes.CDLL(str(path))
-            get = lib.scipy_openblas_get_num_threads64_
-            set_ = lib.scipy_openblas_set_num_threads64_
-        except (OSError, AttributeError):
-            continue
-        get.argtypes, get.restype = (), ctypes.c_int
-        set_.argtypes, set_.restype = (ctypes.c_int,), None
-        return get, set_
-    return None
 
 
 def _report(exc) -> None:
@@ -125,6 +103,8 @@ def _load_train_examples(cfg):
             parts = line.split()
             if len(parts) != 2:
                 raise ParseError(f"line {lineno}: expected '<speaker> <file>'")
+            if "\0" in parts[1]:
+                raise ParseError(f"line {lineno}: NUL byte in file name {parts[1]!r}")
             labels.append(parts[0])
             files.append(base / parts[1])
         if not labels:
@@ -133,7 +113,7 @@ def _load_train_examples(cfg):
         if len(speakers) < 2:
             raise ConfigError(f"one speaker ({speakers[0]}); training needs at least 2")
     index = {s: i for i, s in enumerate(speakers)}
-    examples = [(index[label], feats.read_feat(path, cfg.mel.n_mels))
+    examples = [(index[label], feats.read_feat(path, cfg.mel.n_mels), path)
                 for label, path in zip(labels, files)]
     return examples, speakers
 
@@ -177,7 +157,9 @@ def cmd_train(args) -> int:
     net, head, rng = _build_model(cfg)
     print(f"seed={cfg.seed} speakers={len(speakers)} examples={len(examples)} "
           f"variant={cfg.network.attention_variant}")
-    sn.train(net, head, examples, cfg.train, rng=rng, log=print)
+    # a diverging run is reported by aam_loss or the loss check, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        sn.train(net, head, examples, cfg.train, rng=rng, log=print)
     sn.save_checkpoint(args.out, cfgmod.serialize_config(cfg),
                        net.parameters() + head.parameters())
     print(f"checkpoint={args.out}")
@@ -199,105 +181,6 @@ def _feature_path(features_dir: Path, trial_id: str) -> Path:
             return path
     raise FileNotFoundError(f"no feature file for trial id {trial_id!r} "
                             f"under {features_dir}")
-
-
-def _embed_share(ids, embed):
-    """embed(id) for each id in order; the first exception takes its id's
-    place and ends the list."""
-    results = []
-    for tid in ids:
-        try:
-            results.append(embed(tid))
-        except Exception as exc:
-            results.append(exc)
-            break
-    return results
-
-
-def _fork_share(ids, embed):
-    """(pid, pipe) of a forked child that embeds `ids`.
-
-    The child pickles `_embed_share`'s reply into the pipe, writes nothing
-    to stdout or stderr, and leaves by `os._exit`, so none of the parent's
-    clean-up runs in it.
-    """
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
-    if pid:
-        os.close(write_fd)
-        return pid, os.fdopen(read_fd, "rb")
-    code = 1
-    try:
-        os.close(read_fd)
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, 1)
-        os.dup2(devnull, 2)
-        reply = _embed_share(ids, embed)
-        with os.fdopen(write_fd, "wb") as pipe:
-            pickle.dump(reply, pipe)
-        code = 0
-    finally:
-        os._exit(code)
-
-
-def _embed_all(ids, embed, first):
-    """[embed(id) for id in ids], spread over the CPUs this process may use.
-
-    `first` is embed(ids[0]), which the caller made before anything else.
-    The ids are split into n interleaved shares ids[j::n], one per CPU in
-    the affinity mask and at most one per id: this process embeds share 0
-    and a forked child each of the others. Meanwhile every process runs one
-    BLAS thread, since n processes with several threads each would overload
-    n CPUs; the caller's thread count is restored afterwards. Without
-    `os.sched_getaffinity` or OpenBLAS's thread calls, n is 1: nothing is
-    forked and no BLAS call is made. The error raised is the one a single
-    process would raise: that of the earliest id that fails.
-    """
-    n = 1
-    if hasattr(os, "sched_getaffinity"):
-        n = min(len(ids), len(os.sched_getaffinity(0)))
-    blas = _openblas_threads() if n > 1 else None
-    if blas is None:
-        n = 1
-    else:
-        get_threads, set_threads = blas
-        threads = get_threads()
-        set_threads(1)
-    results = [None] * len(ids)
-    children = []                       # (pid, pipe) per child not yet reaped
-    try:
-        for j in range(1, n):
-            children.append(_fork_share(ids[j::n], embed))
-        share = [first] + _embed_share(ids[n::n], embed)
-        results[0:n * len(share):n] = share
-        for j in range(1, n):
-            pid, pipe = children[0]
-            data = pipe.read()
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            children.pop(0)
-            pipe.close()
-            if code != 0:
-                how = f"signal {-code}" if code < 0 else f"exit status {code}"
-                raise ChildProcessError(
-                    f"embedding process {pid} ended without a result ({how})")
-            share = pickle.loads(data)
-            results[j:j + n * len(share):n] = share
-    finally:
-        for pid, pipe in children:
-            pipe.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        if blas is not None:
-            set_threads(threads)
-    for result in results:
-        if isinstance(result, Exception):
-            raise result
-    return results
 
 
 def cmd_score(args) -> int:
@@ -322,9 +205,11 @@ def cmd_score(args) -> int:
             return emb, mt.embedding_norm(emb)
 
     # before any other work on the trial list: perfbench's setup_s ends here
-    first = embed(trials[0].enroll)
-    ids = list(dict.fromkeys(tid for trial in trials for tid in (trial.enroll, trial.test)))
-    embedded = dict(zip(ids, _embed_all(ids, embed, first)))
+    first = trials[0].enroll
+    embedded = {first: embed(first)}
+    rest = list(dict.fromkeys(tid for trial in trials for tid in (trial.enroll, trial.test)
+                              if tid != first))
+    embedded.update(zip(rest, shares.map_items(embed, rest)))
     for trial in trials:
         trial.score = mt.cosine_score(*embedded[trial.enroll], *embedded[trial.test])
     Path(args.out).write_text(mt.format_scores(trials))

@@ -335,7 +335,11 @@ class EpochMetrics:
 
 def train_epoch(net: SpeakerNet, head: AamHead, examples, opts: TrainOptions,
                 optimizer: Adam, rng) -> EpochMetrics:
-    """One shuffled pass; per-example backward, Adam step per mini-batch."""
+    """One shuffled pass; per-example backward, Adam step per mini-batch.
+
+    `examples` holds (label, features, name) triples; an error that an
+    example's forward pass or loss raises has its name in front.
+    """
     if not examples:
         raise ConfigError("train_epoch: empty dataset")
     order = rng.permutation(len(examples))
@@ -345,14 +349,15 @@ def train_epoch(net: SpeakerNet, head: AamHead, examples, opts: TrainOptions,
         batch = order[start:start + opts.batch_size]
         optimizer.zero_grad()
         for j in batch:
-            label, x = examples[j]
+            label, x, name = examples[j]
             x = crop(x, opts.crop_seconds, rng, opts.frames_per_second)
             if opts.augment:
                 x = spec_mask(x, rng)
-            emb, cache = forward_train(net, x[None, :, :])
-            res = aam_loss(head, emb, label)
-            if not np.isfinite(res.loss):
-                raise NumericError(f"non-finite loss at example index {int(j)}")
+            with naming(name):
+                emb, cache = forward_train(net, x[None, :, :])
+                res = aam_loss(head, emb, label)
+                if not np.isfinite(res.loss):
+                    raise NumericError(f"non-finite loss at example index {int(j)}")
             backward(net, cache, res.grad_emb)
             head.weight.grad += res.grad_weight
             total_loss += res.loss

@@ -15,6 +15,7 @@ from freqattn import cli
 from freqattn import config as cfgmod
 from freqattn import features as feats
 from freqattn import metrics as mt
+from freqattn import shares
 from freqattn import speakernet as sn
 from freqattn.errors import ParseError
 
@@ -30,6 +31,15 @@ def tiny_run_config():
     cfg.network.reduction = 4
     cfg.train.epochs = 2
     return cfg
+
+
+def run_fresh(*args):
+    """`python -m freqattn <args>` in a fresh interpreter, where numpy's
+    warnings would reach stderr; the CompletedProcess."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(cli.__file__).parents[1])] + sys.path))
+    return subprocess.run([sys.executable, "-m", "freqattn", *map(str, args)],
+                          capture_output=True, text=True, env=env)
 
 
 def config_lines(*lines):
@@ -390,6 +400,46 @@ class TestTrain:
         assert err.count("\n") == 1 and err.startswith(f"error: {bad}: "), err
         assert not (tmp_path / "x.ckpt").exists()
 
+    def test_nul_byte_in_file_name_names_list_and_line(self, synth_dir, tmp_path, capsys):
+        train = tmp_path / "train.txt"
+        train.write_text((synth_dir / "train.txt").read_text() + "spk000 feats/x\0y.feat\n")
+        cfg = tiny_run_config()
+        cfg.train_list = str(train)
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(cfgmod.serialize_config(cfg))
+        rc = cli.main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "x.ckpt")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {train}: line 17: NUL byte in file name 'feats/x\\x00y.feat'\n")
+
+    @pytest.mark.parametrize("cause", ["huge_features", "huge_lr"])
+    def test_divergence_is_one_error_line_naming_the_example(self, synth_dir, tmp_path,
+                                                              cause):
+        cfg = tiny_run_config()
+        train = synth_dir / "train.txt"
+        if cause == "huge_features":        # finite values whose squares overflow
+            bad = tmp_path / "huge.feat"
+            feats.write_feat(bad, np.full((64, 250), 1e300))
+            lines = [f"{spk} {synth_dir / name}" for spk, name in
+                     map(str.split, train.read_text().splitlines())]
+            train = tmp_path / "train.txt"
+            train.write_text("".join(line + "\n" for line in lines + ["spk000 huge.feat"]))
+        else:
+            cfg.train.lr = 1e300
+        cfg.train_list = str(train)
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(cfgmod.serialize_config(cfg))
+        proc = run_fresh("train", "--config", cfg_path, "--out", tmp_path / "x.ckpt")
+        assert proc.returncode == 1
+        match = re.fullmatch(r"error: (.+): aam_loss: embedding has zero or "
+                             r"non-finite norm\n", proc.stderr)
+        assert match, proc.stderr
+        if cause == "huge_features":
+            assert match[1] == str(bad)
+        else:                               # one of the training list's files
+            assert Path(match[1]).parent == synth_dir / "feats"
+        assert not (tmp_path / "x.ckpt").exists()
+
     def test_env_seed_override_reaches_training(self, synth_dir, tmp_path,
                                                 capsys, monkeypatch):
         cfg = tiny_run_config()
@@ -699,14 +749,8 @@ class TestScoreRejectsBadInputs:
         sn.save_checkpoint(ckpt, cfgmod.serialize_config(cfg), params)
         first = (synth_dir / "trials.txt").read_text().split()[1]
         scores = tmp_path / "s.txt"
-        # a fresh interpreter: numpy's overflow warnings would reach stderr there
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [str(Path(cli.__file__).parents[1])] + sys.path))
-        proc = subprocess.run(
-            [sys.executable, "-m", "freqattn", "score", "--checkpoint", str(ckpt),
-             "--trials", str(synth_dir / "trials.txt"),
-             "--features", str(synth_dir / "feats"), "--out", str(scores)],
-            capture_output=True, text=True, env=env)
+        proc = run_fresh("score", "--checkpoint", ckpt, "--trials", synth_dir / "trials.txt",
+                         "--features", synth_dir / "feats", "--out", scores)
         assert proc.returncode == 1
         if damage == "nan_weight":      # rejected as the checkpoint is read
             assert proc.stderr == (f"error: {ckpt}: non-finite value nan in stage0.conv.w "
@@ -785,7 +829,7 @@ class TestScoreSplit:
                                                         capsys, cpus, variant,
                                                         aggregation):
         ckpt = split_checkpoint(tmp_path / "m.ckpt", variant, aggregation)
-        split = cli._openblas_threads() is not None
+        split = shares.openblas_threads() is not None
         outputs = []
         for n in (1, 2, 3):
             forks = cpus(n)
@@ -859,13 +903,13 @@ class TestScoreSplit:
                 self.score(ckpt, trials, features, out)
         else:
             assert self.score(ckpt, trials, features, out) == (outcome == "bad_input")
-        if cli._openblas_threads() is not None:
+        if shares.openblas_threads() is not None:
             assert len(forks) == 2
         assert_reaped(forks)
 
     def test_bug_in_a_child_reaches_the_caller(self, synth_dir, tmp_path, capsys, cpus,
                                                monkeypatch):
-        if cli._openblas_threads() is None:
+        if shares.openblas_threads() is None:
             pytest.skip("score runs in one process without OpenBLAS's thread calls")
         ckpt = split_checkpoint(tmp_path / "m.ckpt", "sfsc")
         main_pid, embed = os.getpid(), sn.forward_embed
@@ -888,7 +932,7 @@ class TestScoreSplit:
                                                            capsys, cpus, monkeypatch):
         # an Exception in the main share waits for the children's replies; only
         # a BaseException (or a child that dies) leaves children to kill
-        blas = cli._openblas_threads()
+        blas = shares.openblas_threads()
         if blas is None:
             pytest.skip("score runs in one process without OpenBLAS's thread calls")
         ckpt = split_checkpoint(tmp_path / "m.ckpt", "mfsc", "avg_max")
@@ -917,7 +961,7 @@ class TestScoreSplit:
         libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
         if not any(libs.glob("*scipy_openblas*")):
             pytest.skip("this numpy bundles no scipy-openblas library")
-        blas = cli._openblas_threads()
+        blas = shares.openblas_threads()
         assert blas is not None
         get_threads, set_threads = blas
         before = get_threads()
@@ -931,7 +975,7 @@ class TestScoreSplit:
 
     def test_child_that_dies_is_one_error_line(self, synth_dir, tmp_path, capsys, cpus,
                                                monkeypatch):
-        if cli._openblas_threads() is None:
+        if shares.openblas_threads() is None:
             pytest.skip("score runs in one process without OpenBLAS's thread calls")
         ckpt = split_checkpoint(tmp_path / "m.ckpt", "se")
         main_pid, embed = os.getpid(), sn.forward_embed
@@ -950,8 +994,21 @@ class TestScoreSplit:
         assert not out.exists()
         assert_reaped(forks)
 
+    def test_one_utterance_leaves_nothing_to_split(self, synth_dir, tmp_path, capsys,
+                                                   cpus):
+        ckpt = split_checkpoint(tmp_path / "m.ckpt", "sfsc")
+        os.symlink(min((synth_dir / "feats").glob("*.feat")), tmp_path / "x.feat")
+        trials = tmp_path / "trials.txt"
+        trials.write_text("1 x x\n")
+        for n in (1, 2, 3):
+            forks = cpus(n)
+            out = tmp_path / f"s{n}.txt"
+            assert self.score(ckpt, trials, tmp_path, out) == 0
+            assert forks == []
+            assert out.read_text() == "1 x x 1.000000\n"
+
     def test_blas_thread_count_is_restored(self, synth_dir, tmp_path, capsys, cpus):
-        blas = cli._openblas_threads()
+        blas = shares.openblas_threads()
         if blas is None:
             pytest.skip("numpy's OpenBLAS thread calls are not available")
         get_threads, set_threads = blas

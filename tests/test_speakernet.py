@@ -246,7 +246,7 @@ class TestTraining:
     def make_examples(self, n_spk=4, utts=6, seed=20, exact=None):
         data = ft.synth_dataset(n_spk, utts, seed=seed,
                                 min_frames=exact or 200, max_frames=exact or 240)
-        return [(u.speaker, ft.mvn(u.features)) for u in data]
+        return [(u.speaker, ft.mvn(u.features), f"utt{i}") for i, u in enumerate(data)]
 
     def test_zero_lr_keeps_parameters_and_loss(self):
         examples = self.make_examples(exact=200)   # crop is identity at 200 frames
