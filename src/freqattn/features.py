@@ -197,9 +197,14 @@ def mvn(x: np.ndarray) -> np.ndarray:
     return (x - mean) / np.sqrt(np.maximum(var, 1e-8))
 
 
+def crop_frames(seconds: float, frames_per_second: float) -> int:
+    """Length in frames of every window `crop` returns."""
+    return int(round(seconds * frames_per_second))
+
+
 def crop(x: np.ndarray, seconds: float, rng, frames_per_second: float) -> np.ndarray:
     """Random fixed-length window; shorter inputs wrap around."""
-    target = int(round(seconds * frames_per_second))
+    target = crop_frames(seconds, frames_per_second)
     t = x.shape[1]
     if t == target:
         return x

@@ -3,8 +3,9 @@
 Architecture: a stack of strided 3x3 conv stages (bias-free), each followed
 by ReLU and a channel-attention block, then frequency-collapsed mean+std
 statistics pooling over time and a bias-free linear projection to the
-embedding. Backward passes are explicit and run in reverse layer order;
-training is single-threaded and fully deterministic given the seed.
+embedding. Backward passes are explicit and run in reverse layer order.
+Training splits each mini-batch over the CPUs it may use; its result is the
+same, bit for bit, at any CPU count, and fully determined by the seed.
 Checkpoints are written and read with the array-record codec in `features`.
 """
 
@@ -16,9 +17,10 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from . import attention
-from .errors import ConfigError, DimensionError, FormatError, NumericError, naming
-from .features import Reader, crop, pack_array, pack_text, pack_u32, spec_mask
+from . import attention, shares
+from .errors import (ConfigError, DimensionError, FormatError, FreqattnError, NumericError,
+                     naming)
+from .features import Reader, crop, crop_frames, pack_array, pack_text, pack_u32, spec_mask
 from .tensor import (Parameter, conv2d, conv2d_backward, conv2d_output_shape, relu,
                      relu_backward)
 
@@ -301,10 +303,6 @@ class Adam:
             v_hat = self.v[i] / (1.0 - ADAM_BETA2 ** self.t)
             p.value -= self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
-    def zero_grad(self) -> None:
-        for p in self.params:
-            p.zero_grad()
-
 
 # ---------------------------------------------------------------------------
 # training
@@ -333,53 +331,112 @@ class EpochMetrics:
     accuracy: float
 
 
-def train_epoch(net: SpeakerNet, head: AamHead, examples, opts: TrainOptions,
-                optimizer: Adam, rng) -> EpochMetrics:
-    """One shuffled pass; per-example backward, Adam step per mini-batch.
+class _SharedBatch:
+    """The weights, one gradient slot per batch position and the batch's crops,
+    in one `shares.shared_zeros` block made before the workers fork.
 
-    `examples` holds (label, features, name) triples; an error that an
-    example's forward pass or loss raises has its name in front.
+    Each parameter's value becomes a view into the weights, so Adam's in-place
+    update is what every worker reads next. Each parameter's view starts on a
+    64-byte boundary, in the weights and in every slot.
     """
-    if not examples:
-        raise ConfigError("train_epoch: empty dataset")
-    order = rng.permutation(len(examples))
-    total_loss = 0.0
-    correct = 0
-    for start in range(0, len(order), opts.batch_size):
-        batch = order[start:start + opts.batch_size]
-        optimizer.zero_grad()
-        for j in batch:
-            label, x, name = examples[j]
-            x = crop(x, opts.crop_seconds, rng, opts.frames_per_second)
-            if opts.augment:
-                x = spec_mask(x, rng)
-            with naming(name):
-                emb, cache = forward_train(net, x[None, :, :])
-                res = aam_loss(head, emb, label)
-                if not np.isfinite(res.loss):
-                    raise NumericError(f"non-finite loss at example index {int(j)}")
-            backward(net, cache, res.grad_emb)
-            head.weight.grad += res.grad_weight
-            total_loss += res.loss
-            correct += int(np.argmax(res.cosines) == label)
-        inv = 1.0 / len(batch)
-        for p in optimizer.params:
-            p.grad *= inv
-        optimizer.step()
-    n = len(examples)
-    return EpochMetrics(mean_loss=total_loss / n, accuracy=correct / n)
+
+    def __init__(self, params, batch_size: int, crop_shape):
+        offsets, width = [], 0
+        for p in params:
+            offsets.append(width)
+            width += -(-p.size // 8) * 8
+        block = shares.shared_zeros(width * (1 + batch_size)
+                                    + batch_size * crop_shape[0] * crop_shape[1])
+        self.params = params
+        self.grads = block[width:width * (1 + batch_size)].reshape(batch_size, width)
+        self.crops = block[width * (1 + batch_size):].reshape(batch_size, *crop_shape)
+
+        def views(flat):
+            return [flat[o:o + p.size].reshape(p.value.shape)
+                    for p, o in zip(params, offsets)]
+        for p, view in zip(params, views(block[:width])):
+            view[...] = p.value
+            p.value = view
+        self.slot_views = [views(g) for g in self.grads]
+
+    def into_slot(self, slot: int) -> None:
+        """Zero gradient slot `slot` and make it the parameters' gradient."""
+        self.grads[slot] = 0.0
+        for p, g in zip(self.params, self.slot_views[slot]):
+            p.grad = g
+
+    def mean_of_slots(self, count: int) -> None:
+        """Make the parameters' gradient the mean of the first `count` slots,
+        added into slot 0 in slot order, as one process adds its examples'
+        terms."""
+        mean = self.grads[0]
+        for g in self.grads[1:count]:
+            mean += g
+        mean *= 1.0 / count
+        for p, g in zip(self.params, self.slot_views[0]):
+            p.grad = g
 
 
 def train(net: SpeakerNet, head: AamHead, examples, opts: TrainOptions, rng,
           log=None) -> List[EpochMetrics]:
-    """Run the configured number of epochs; rng drives shuffles, crops and masks."""
-    optimizer = Adam(net.parameters() + head.parameters(), lr=opts.lr)
+    """Run the configured number of epochs; rng drives shuffles, crops and masks.
+
+    `examples` holds (label, features, name) triples. Each shuffled
+    mini-batch takes one Adam step on the mean of its examples' gradients.
+    Its examples are split over the CPUs (`shares.Workers`, forked once,
+    here), each into its own gradient slot of a `_SharedBatch`; this process
+    draws every crop and mask and adds the slots, losses and hits in example
+    order, so the result is bitwise that of one process. An error that an
+    example's forward pass or loss raises has the example's name in front and
+    the epoch and batch behind.
+    """
+    if not examples:
+        raise ConfigError("train: empty dataset")
+    params = net.parameters() + head.parameters()
+    optimizer = Adam(params, lr=opts.lr)
+    shared = _SharedBatch(params, opts.batch_size, (
+        examples[0][1].shape[0], crop_frames(opts.crop_seconds, opts.frames_per_second)))
+
+    def example_step(task):
+        """(loss, hit) of example j, its gradient in slot `slot`; runs in the
+        process whose share holds the slot."""
+        slot, j = task
+        label, _, name = examples[j]
+        shared.into_slot(slot)
+        with naming(name):
+            emb, cache = forward_train(net, shared.crops[slot][None])
+            res = aam_loss(head, emb, label)
+            if not np.isfinite(res.loss):
+                raise NumericError(f"non-finite loss at example index {j}")
+        backward(net, cache, res.grad_emb)
+        head.weight.grad += res.grad_weight
+        return res.loss, int(np.argmax(res.cosines) == label)
+
     history = []
-    for epoch in range(1, opts.epochs + 1):
-        metrics = train_epoch(net, head, examples, opts, optimizer, rng)
-        history.append(metrics)
-        if log is not None:
-            log(f"epoch={epoch} loss={metrics.mean_loss:.6f} acc={metrics.accuracy:.4f}")
+    with shares.Workers(example_step, min(opts.batch_size, len(examples))) as workers:
+        for epoch in range(1, opts.epochs + 1):
+            order = rng.permutation(len(examples)).tolist()
+            total_loss = 0.0
+            correct = 0
+            for number, start in enumerate(range(0, len(order), opts.batch_size), 1):
+                batch = order[start:start + opts.batch_size]
+                for slot, j in enumerate(batch):
+                    x = crop(examples[j][1], opts.crop_seconds, rng, opts.frames_per_second)
+                    shared.crops[slot] = spec_mask(x, rng) if opts.augment else x
+                try:
+                    outcomes = workers.map(list(enumerate(batch)))
+                except FreqattnError as exc:
+                    raise type(exc)(f"{exc} (epoch {epoch}, batch {number})") from None
+                for loss, hit in outcomes:
+                    total_loss += loss
+                    correct += hit
+                shared.mean_of_slots(len(batch))
+                optimizer.step()
+            n = len(examples)
+            metrics = EpochMetrics(mean_loss=total_loss / n, accuracy=correct / n)
+            history.append(metrics)
+            if log is not None:
+                log(f"epoch={epoch} loss={metrics.mean_loss:.6f} acc={metrics.accuracy:.4f}")
     return history
 
 

@@ -33,12 +33,18 @@ def tiny_run_config():
     return cfg
 
 
-def run_fresh(*args):
+def run_fresh(*args, cpus=None):
     """`python -m freqattn <args>` in a fresh interpreter, where numpy's
-    warnings would reach stderr; the CompletedProcess."""
+    warnings would reach stderr; with `cpus`, its affinity mask reads as that
+    many CPUs. The CompletedProcess."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(Path(cli.__file__).parents[1])] + sys.path))
-    return subprocess.run([sys.executable, "-m", "freqattn", *map(str, args)],
+    entry = ["-m", "freqattn"]
+    if cpus is not None:
+        entry = ["-c", f"import os, sys; os.sched_getaffinity = lambda pid: "
+                       f"set(range({cpus})); from freqattn.cli import main; "
+                       f"sys.exit(main(sys.argv[1:]))"]
+    return subprocess.run([sys.executable, *entry, *map(str, args)],
                           capture_output=True, text=True, env=env)
 
 
@@ -429,15 +435,21 @@ class TestTrain:
         cfg.train_list = str(train)
         cfg_path = tmp_path / "run.cfg"
         cfg_path.write_text(cfgmod.serialize_config(cfg))
-        proc = run_fresh("train", "--config", cfg_path, "--out", tmp_path / "x.ckpt")
-        assert proc.returncode == 1
+        errors = []
+        for n in (1, 2, 3):
+            proc = run_fresh("train", "--config", cfg_path, "--out", tmp_path / "x.ckpt",
+                             cpus=n)
+            assert proc.returncode == 1
+            errors.append(proc.stderr)
+        assert errors == 3 * errors[:1]
         match = re.fullmatch(r"error: (.+): aam_loss: embedding has zero or "
-                             r"non-finite norm\n", proc.stderr)
-        assert match, proc.stderr
+                             r"non-finite norm \(epoch 1, batch (\d+)\)\n", errors[0])
+        assert match, errors[0]
         if cause == "huge_features":
             assert match[1] == str(bad)
-        else:                               # one of the training list's files
+        else:       # the first Adam step grows every weight to about 1e300
             assert Path(match[1]).parent == synth_dir / "feats"
+            assert match[2] == "2"
         assert not (tmp_path / "x.ckpt").exists()
 
     def test_env_seed_override_reaches_training(self, synth_dir, tmp_path,
@@ -989,7 +1001,7 @@ class TestScoreSplit:
         out = tmp_path / "s.txt"
         assert self.score(ckpt, synth_dir / "trials.txt", synth_dir / "feats", out) == 1
         err = capsys.readouterr().err
-        assert re.fullmatch(r"error: embedding process \d+ ended without a result "
+        assert re.fullmatch(r"error: worker process \d+ ended without a result "
                             r"\(signal 9\)\n", err), err
         assert not out.exists()
         assert_reaped(forks)

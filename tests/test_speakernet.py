@@ -303,8 +303,7 @@ class TestTraining:
         net = sn.SpeakerNet(tiny_cfg(), np.random.default_rng(33))
         head = aam_head(4, 5, np.random.default_rng(34))
         with pytest.raises(ConfigError):
-            sn.train_epoch(net, head, [], sn.TrainOptions(), sn.Adam([], lr=1e-3),
-                           np.random.default_rng(0))
+            sn.train(net, head, [], sn.TrainOptions(), np.random.default_rng(0))
 
 
 class TestCheckpoint:
