@@ -159,7 +159,7 @@ def cmd_train(args) -> int:
           f"variant={cfg.network.attention_variant}")
     # a diverging run is reported by aam_loss or the loss check, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
-        sn.train(net, head, examples, cfg.train, rng=rng, log=print)
+        sn.train(net, head, examples, cfg.train, cfg.crop_frames, rng, log=print)
     sn.save_checkpoint(args.out, cfgmod.serialize_config(cfg),
                        net.parameters() + head.parameters())
     print(f"checkpoint={args.out}")
@@ -204,12 +204,8 @@ def cmd_score(args) -> int:
             emb = sn.forward_embed(net, x[None, :, :])
             return emb, mt.embedding_norm(emb)
 
-    # before any other work on the trial list: perfbench's setup_s ends here
-    first = trials[0].enroll
-    embedded = {first: embed(first)}
-    rest = list(dict.fromkeys(tid for trial in trials for tid in (trial.enroll, trial.test)
-                              if tid != first))
-    embedded.update(zip(rest, shares.map_items(embed, rest)))
+    ids = list(dict.fromkeys(tid for trial in trials for tid in (trial.enroll, trial.test)))
+    embedded = dict(zip(ids, shares.map_items(embed, ids)))
     for trial in trials:
         trial.score = mt.cosine_score(*embedded[trial.enroll], *embedded[trial.test])
     Path(args.out).write_text(mt.format_scores(trials))

@@ -35,6 +35,7 @@ class RunConfig:
     mel: MelConfig = field(default_factory=MelConfig)
     network: NetworkConfig = field(default_factory=NetworkConfig)
     train: TrainOptions = field(default_factory=TrainOptions)
+    crop_seconds: float = 2.0
     mvn: bool = True
     margin: float = 0.2
     scale: float = 30.0
@@ -49,14 +50,21 @@ class RunConfig:
         if not (self.margin >= 0.0 and self.scale > 0.0):
             raise ConfigError(f"margin must be >= 0 and scale > 0, got "
                               f"{self.margin} and {self.scale}")
-        self.train.frames_per_second = 1000.0 / self.mel.frame_shift_ms
-        frames = self.train.crop_seconds * self.train.frames_per_second
         need = min_frames(self.network, self.mel.n_mels)
-        if not (frames < math.inf and round(frames) >= need):
-            raise ConfigError(f"crop_seconds={self.train.crop_seconds} must give a finite "
-                              f"crop of >= {need} frames at {self.train.frames_per_second} "
-                              f"frames/s, the fewest that network.stages and "
-                              f"attention.k need")
+        try:
+            short = self.crop_frames < need
+        except OverflowError:           # an infinite number of frames
+            short = True
+        if short:
+            raise ConfigError(f"crop_seconds={self.crop_seconds} must give a finite "
+                              f"crop of >= {need} frames at frame_shift_ms="
+                              f"{self.mel.frame_shift_ms}, the fewest that network.stages "
+                              f"and attention.k need")
+
+    @property
+    def crop_frames(self) -> int:
+        """Length in frames of every training crop."""
+        return round(self.crop_seconds * (1000.0 / self.mel.frame_shift_ms))
 
 
 # on-disk key -> (RunConfig attribute holding the field, or None for RunConfig
@@ -71,7 +79,7 @@ _KEYS = {
     "features.fmin": ("mel", "fmin"),
     "features.fmax": ("mel", "fmax"),
     "features.log_floor": ("mel", "log_floor"),
-    "features.crop_seconds": ("train", "crop_seconds"),
+    "features.crop_seconds": (None, "crop_seconds"),
     "features.mvn": (None, "mvn"),
     "features.specaug": ("train", "augment"),
     "network.in_channels": ("network", "in_channels"),

@@ -197,21 +197,15 @@ def mvn(x: np.ndarray) -> np.ndarray:
     return (x - mean) / np.sqrt(np.maximum(var, 1e-8))
 
 
-def crop_frames(seconds: float, frames_per_second: float) -> int:
-    """Length in frames of every window `crop` returns."""
-    return int(round(seconds * frames_per_second))
-
-
-def crop(x: np.ndarray, seconds: float, rng, frames_per_second: float) -> np.ndarray:
-    """Random fixed-length window; shorter inputs wrap around."""
-    target = crop_frames(seconds, frames_per_second)
+def crop(x: np.ndarray, frames: int, rng) -> np.ndarray:
+    """Random window of `frames` frames; shorter inputs wrap around."""
     t = x.shape[1]
-    if t == target:
+    if t == frames:
         return x
-    if t < target:
-        return x[:, np.arange(target) % t]
-    start = int(rng.integers(0, t - target + 1))
-    return x[:, start:start + target]
+    if t < frames:
+        return x[:, np.arange(frames) % t]
+    start = int(rng.integers(0, t - frames + 1))
+    return x[:, start:start + frames]
 
 
 def spec_mask(x: np.ndarray, rng) -> np.ndarray:

@@ -20,7 +20,7 @@ import numpy as np
 from . import attention, shares
 from .errors import (ConfigError, DimensionError, FormatError, FreqattnError, NumericError,
                      naming)
-from .features import Reader, crop, crop_frames, pack_array, pack_text, pack_u32, spec_mask
+from .features import Reader, crop, pack_array, pack_text, pack_u32, spec_mask
 from .tensor import (Parameter, conv2d, conv2d_backward, conv2d_output_shape, relu,
                      relu_backward)
 
@@ -313,8 +313,6 @@ class TrainOptions:
     lr: float = 1e-3
     epochs: int = 30
     batch_size: int = 8
-    crop_seconds: float = 2.0
-    frames_per_second: float = 100.0     # RunConfig sets it from mel.frame_shift_ms
     augment: bool = False
 
     def __post_init__(self):
@@ -340,16 +338,15 @@ class _SharedBatch:
     64-byte boundary, in the weights and in every slot.
     """
 
-    def __init__(self, params, batch_size: int, crop_shape):
+    def __init__(self, params, rows: int, crop_shape):
         offsets, width = [], 0
         for p in params:
             offsets.append(width)
             width += -(-p.size // 8) * 8
-        block = shares.shared_zeros(width * (1 + batch_size)
-                                    + batch_size * crop_shape[0] * crop_shape[1])
+        block = shares.shared_zeros(width * (1 + rows) + rows * crop_shape[0] * crop_shape[1])
         self.params = params
-        self.grads = block[width:width * (1 + batch_size)].reshape(batch_size, width)
-        self.crops = block[width * (1 + batch_size):].reshape(batch_size, *crop_shape)
+        self.grads = block[width:width * (1 + rows)].reshape(rows, width)
+        self.crops = block[width * (1 + rows):].reshape(rows, *crop_shape)
 
         def views(flat):
             return [flat[o:o + p.size].reshape(p.value.shape)
@@ -377,12 +374,13 @@ class _SharedBatch:
             p.grad = g
 
 
-def train(net: SpeakerNet, head: AamHead, examples, opts: TrainOptions, rng,
-          log=None) -> List[EpochMetrics]:
+def train(net: SpeakerNet, head: AamHead, examples, opts: TrainOptions, frames: int,
+          rng, log=None) -> List[EpochMetrics]:
     """Run the configured number of epochs; rng drives shuffles, crops and masks.
 
-    `examples` holds (label, features, name) triples. Each shuffled
-    mini-batch takes one Adam step on the mean of its examples' gradients.
+    `examples` holds (label, features, name) triples; each is trained on
+    crops `frames` frames long. Each shuffled mini-batch takes one Adam step
+    on the mean of its examples' gradients.
     Its examples are split over the CPUs (`shares.Workers`, forked once,
     here), each into its own gradient slot of a `_SharedBatch`; this process
     draws every crop and mask and adds the slots, losses and hits in example
@@ -394,8 +392,8 @@ def train(net: SpeakerNet, head: AamHead, examples, opts: TrainOptions, rng,
         raise ConfigError("train: empty dataset")
     params = net.parameters() + head.parameters()
     optimizer = Adam(params, lr=opts.lr)
-    shared = _SharedBatch(params, opts.batch_size, (
-        examples[0][1].shape[0], crop_frames(opts.crop_seconds, opts.frames_per_second)))
+    rows = min(opts.batch_size, len(examples))      # the most examples a batch holds
+    shared = _SharedBatch(params, rows, (examples[0][1].shape[0], frames))
 
     def example_step(task):
         """(loss, hit) of example j, its gradient in slot `slot`; runs in the
@@ -413,7 +411,7 @@ def train(net: SpeakerNet, head: AamHead, examples, opts: TrainOptions, rng,
         return res.loss, int(np.argmax(res.cosines) == label)
 
     history = []
-    with shares.Workers(example_step, min(opts.batch_size, len(examples))) as workers:
+    with shares.Workers(example_step, rows) as workers:
         for epoch in range(1, opts.epochs + 1):
             order = rng.permutation(len(examples)).tolist()
             total_loss = 0.0
@@ -421,7 +419,7 @@ def train(net: SpeakerNet, head: AamHead, examples, opts: TrainOptions, rng,
             for number, start in enumerate(range(0, len(order), opts.batch_size), 1):
                 batch = order[start:start + opts.batch_size]
                 for slot, j in enumerate(batch):
-                    x = crop(examples[j][1], opts.crop_seconds, rng, opts.frames_per_second)
+                    x = crop(examples[j][1], frames, rng)
                     shared.crops[slot] = spec_mask(x, rng) if opts.augment else x
                 try:
                     outcomes = workers.map(list(enumerate(batch)))

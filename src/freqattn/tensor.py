@@ -33,9 +33,6 @@ class Parameter:
     def size(self) -> int:
         return self.value.size
 
-    def zero_grad(self) -> None:
-        self.grad[...] = 0.0
-
 
 # ---------------------------------------------------------------------------
 # conv2d (cross-correlation convention)

@@ -184,7 +184,7 @@ def _grad_full_network(seed):
 
         def vjp(w):
             for p in net.parameters():
-                p.zero_grad()
+                p.grad[...] = 0.0
             return sn.backward(net, cache, w * res.grad_emb)
         return np.array(res.loss), vjp
 
@@ -198,7 +198,7 @@ def _grad_full_network(seed):
 
             def vjp(w):
                 for p in net.parameters():
-                    p.zero_grad()
+                    p.grad[...] = 0.0
                 sn.backward(net, cache, w * res.grad_emb)
                 if param is head.weight:
                     return w * res.grad_weight

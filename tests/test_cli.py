@@ -118,12 +118,14 @@ class TestConfigFormat:
         assert cfgmod.env_seed({"FREQATTN_SEED": "123"}, 5) == 123
         assert cfgmod.env_seed({}, 5) == 5
 
-    def test_frames_per_second_follows_frame_shift(self):
-        cfg = cfgmod.RunConfig(mel=feats.MelConfig(frame_shift_ms=20.0))
-        assert cfg.train.frames_per_second == 50.0
+    @pytest.mark.parametrize("shift_ms,seconds,frames", [(20.0, 2.0, 100),
+                                                         (12.5, 1.37, 110)])  # 109.6
+    def test_crop_frames_follows_frame_shift(self, shift_ms, seconds, frames):
+        cfg = cfgmod.RunConfig(mel=feats.MelConfig(frame_shift_ms=shift_ms),
+                               crop_seconds=seconds)
         back = cfgmod.parse_config(cfgmod.serialize_config(cfg))
-        assert back.train.frames_per_second == 50.0
         assert back == cfg
+        assert back.crop_frames == frames
 
 
 class TestVerifyDct:
@@ -338,6 +340,48 @@ class TestTrain:
         out = capsys.readouterr().out
         assert rc == 0
         assert "epoch=1 loss=" in out and "acc=" in out
+
+    def test_every_crop_is_crop_frames_wide(self, synth_dir, tmp_path, capsys,
+                                            monkeypatch):
+        cfg = tiny_run_config()
+        cfg.train.epochs = 1
+        cfg.mel.frame_shift_ms, cfg.crop_seconds = 12.5, 1.37     # 109.6 frames
+        cfg.train_list = str(synth_dir / "train.txt")
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(cfgmod.serialize_config(cfg))
+        shapes, forward = [], sn.forward_train
+
+        def recording_forward(net, x):
+            shapes.append(x.shape)
+            return forward(net, x)
+        monkeypatch.setattr(sn, "forward_train", recording_forward)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})   # no worker
+        assert cli.main(["train", "--config", str(cfg_path),
+                         "--out", str(tmp_path / "m.ckpt")]) == 0
+        assert shapes == 16 * [(1, 64, 110)]
+
+    def test_batch_above_the_example_count_is_one_batch(self, synth_dir, tmp_path,
+                                                        capsys):
+        # the batch rows are sized by the examples a batch can hold, not by
+        # optimizer.batch alone
+        runs = []
+        for batch in (16, 1_000_000_000):
+            cfg = tiny_run_config()
+            cfg.train.batch_size = batch
+            cfg.train_list = str(synth_dir / "train.txt")
+            cfg_path = tmp_path / "run.cfg"
+            cfg_path.write_text(cfgmod.serialize_config(cfg))
+            ckpt = tmp_path / f"b{batch}.ckpt"
+            assert cli.main(["train", "--config", str(cfg_path), "--out", str(ckpt)]) == 0
+            out = capsys.readouterr().out
+            assert " examples=16 " in out
+            runs.append(([line for line in out.splitlines() if line.startswith("epoch=")],
+                         sn.load_checkpoint(ckpt)[1]))
+        (lines, params), (big_lines, big_params) = runs
+        assert len(lines) == 2 and big_lines == lines
+        assert [name for name, _ in big_params] == [name for name, _ in params]
+        for (name, a), (_, b) in zip(params, big_params):
+            assert np.array_equal(a, b), name
 
     def test_same_config_twice_identical_checkpoints(self, synth_dir, tmp_path, capsys):
         cfg = tiny_run_config()

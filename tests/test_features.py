@@ -159,19 +159,19 @@ class TestMvn:
 class TestCrop:
     def test_seeded_slice_is_deterministic(self):
         x = np.arange(64.0 * 500).reshape(64, 500)
-        a = feats.crop(x, 2.0, np.random.default_rng(5), 100.0)
-        b = feats.crop(x, 2.0, np.random.default_rng(5), 100.0)
+        a = feats.crop(x, 200, np.random.default_rng(5))
+        b = feats.crop(x, 200, np.random.default_rng(5))
         assert a.shape == (64, 200)
         assert np.array_equal(a, b)
 
     def test_exact_length_is_identity(self):
         x = np.random.default_rng(6).standard_normal((64, 200))
-        out = feats.crop(x, 2.0, np.random.default_rng(0), 100.0)
+        out = feats.crop(x, 200, np.random.default_rng(0))
         assert np.array_equal(out, x)
 
     def test_short_input_wraps(self):
         x = np.tile(np.arange(90.0), (4, 1))
-        out = feats.crop(x, 2.0, np.random.default_rng(0), 100.0)
+        out = feats.crop(x, 200, np.random.default_rng(0))
         expected = np.concatenate([np.arange(90.0), np.arange(90.0), np.arange(20.0)])
         assert np.array_equal(out[0], expected)
 

@@ -61,7 +61,7 @@ class TestMapItems:
         assert_reaped(forks)
 
 
-def serial_train(net, head, examples, opts, rng):
+def serial_train(net, head, examples, opts, frames, rng):
     """The one-process training loop, the reference for `sn.train`: each
     example's gradient terms go straight into the parameters' gradients, in
     example order. The mean loss per epoch."""
@@ -74,10 +74,10 @@ def serial_train(net, head, examples, opts, rng):
         for start in range(0, len(order), opts.batch_size):
             batch = order[start:start + opts.batch_size]
             for p in params:
-                p.zero_grad()
+                p.grad[...] = 0.0
             for j in batch:
                 label, x, _ = examples[j]
-                x = feats.crop(x, opts.crop_seconds, rng, opts.frames_per_second)
+                x = feats.crop(x, frames, rng)
                 if opts.augment:
                     x = feats.spec_mask(x, rng)
                 emb, cache = sn.forward_train(net, x[None])
@@ -133,12 +133,12 @@ class TestTrainSplit:
         # 22 examples in batches of 5: the last batch has 2, fewer than 3 shares
         opts = sn.TrainOptions(epochs=2, batch_size=5, augment=augment)
         net, head = tiny_model(variant, aggregation)
-        want = serial_train(net, head, tiny_examples(), opts, np.random.default_rng(23))
+        want = serial_train(net, head, tiny_examples(), opts, 200, np.random.default_rng(23))
         weights = [p.value.copy() for p in net.parameters() + head.parameters()]
         for n in (1, 2, 3):
             forks = cpus(n)
             net, head = tiny_model(variant, aggregation)
-            history = sn.train(net, head, tiny_examples(), opts, np.random.default_rng(23))
+            history = sn.train(net, head, tiny_examples(), opts, 200, np.random.default_rng(23))
             assert [h.mean_loss for h in history] == want
             for a, p in zip(weights, net.parameters() + head.parameters()):
                 assert np.array_equal(a, p.value), p.name
@@ -176,7 +176,7 @@ class TestTrainSplit:
                 net, head = tiny_model("mfsc", "avg_max")
                 with np.errstate(over="ignore", invalid="ignore"), \
                         pytest.raises(NumericError) as caught:
-                    sn.train(net, head, examples, opts, np.random.default_rng(23))
+                    sn.train(net, head, examples, opts, 200, np.random.default_rng(23))
                 errors.append(str(caught.value))
                 assert_reaped(forks)
             assert errors[0] == ("first: aam_loss: embedding has zero or non-finite "
@@ -201,7 +201,7 @@ class TestTrainSplit:
         net, head = tiny_model("mfsc", "avg_max")
         with pytest.raises(KeyboardInterrupt):
             sn.train(net, head, tiny_examples(), sn.TrainOptions(epochs=1, batch_size=5),
-                     np.random.default_rng(23))
+                     200, np.random.default_rng(23))
         assert len(forks) == 2
         assert_reaped(forks)
         assert blas[0]() == threads
@@ -239,7 +239,7 @@ class TestTrainSplit:
             forks = cpus(2)
             net, head = tiny_model("se", "avg")
             sn.train(net, head, tiny_examples(8), sn.TrainOptions(epochs=1, batch_size=4),
-                     np.random.default_rng(23))
+                     200, np.random.default_rng(23))
             assert len(forks) == 1
             assert get_threads() == 3
         finally:
@@ -252,7 +252,7 @@ class TestTrainSplit:
         forks = cpus(1)
         net, head = tiny_model("se", "avg")
         sn.train(net, head, tiny_examples(8), sn.TrainOptions(epochs=1, batch_size=4),
-                 np.random.default_rng(23))
+                 200, np.random.default_rng(23))
         assert forks == []
 
 

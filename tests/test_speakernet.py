@@ -220,7 +220,7 @@ class TestEndToEndGradients:
 
             def vjp(w):
                 for p in net.parameters():
-                    p.zero_grad()
+                    p.grad[...] = 0.0
                 return sn.backward(net, cache, w * res.grad_emb)
             return np.array(res.loss), vjp
 
@@ -234,7 +234,7 @@ class TestEndToEndGradients:
 
                 def vjp(w):
                     for p in net.parameters():
-                        p.zero_grad()
+                        p.grad[...] = 0.0
                     sn.backward(net, cache, w * res.grad_emb)
                     return param.grad.copy()
                 return np.array(res.loss), vjp
@@ -254,7 +254,7 @@ class TestTraining:
         head = aam_head(4, 5, np.random.default_rng(22))
         before = [p.value.copy() for p in net.parameters() + head.parameters()]
         opts = sn.TrainOptions(lr=0.0, epochs=2, batch_size=8)
-        hist = sn.train(net, head, examples, opts, np.random.default_rng(23))
+        hist = sn.train(net, head, examples, opts, 200, np.random.default_rng(23))
         after = net.parameters() + head.parameters()
         for b, p in zip(before, after):
             assert np.array_equal(b, p.value)
@@ -265,7 +265,7 @@ class TestTraining:
         net = sn.SpeakerNet(tiny_cfg(), np.random.default_rng(24))
         head = aam_head(4, 5, np.random.default_rng(25))
         opts = sn.TrainOptions(epochs=30, batch_size=8)
-        hist = sn.train(net, head, examples, opts, np.random.default_rng(26))
+        hist = sn.train(net, head, examples, opts, 200, np.random.default_rng(26))
         assert hist[-1].mean_loss < hist[0].mean_loss
 
     def test_same_seed_reproduces_trajectory_and_weights(self):
@@ -275,7 +275,7 @@ class TestTraining:
             net = sn.SpeakerNet(tiny_cfg(), np.random.default_rng(27))
             head = aam_head(4, 5, np.random.default_rng(28))
             opts = sn.TrainOptions(epochs=3, batch_size=8)
-            hist = sn.train(net, head, examples, opts, np.random.default_rng(29))
+            hist = sn.train(net, head, examples, opts, 200, np.random.default_rng(29))
             runs.append(([h.mean_loss for h in hist],
                          [p.value.copy() for p in net.parameters()]))
         assert runs[0][0] == runs[1][0]
@@ -297,13 +297,13 @@ class TestTraining:
         monkeypatch.setattr(sn, "aam_loss", poisoned)
         opts = sn.TrainOptions(epochs=1, batch_size=8)
         with pytest.raises(NumericError, match="example index"):
-            sn.train(net, head, examples, opts, np.random.default_rng(32))
+            sn.train(net, head, examples, opts, 200, np.random.default_rng(32))
 
     def test_empty_dataset_rejected(self):
         net = sn.SpeakerNet(tiny_cfg(), np.random.default_rng(33))
         head = aam_head(4, 5, np.random.default_rng(34))
         with pytest.raises(ConfigError):
-            sn.train(net, head, [], sn.TrainOptions(), np.random.default_rng(0))
+            sn.train(net, head, [], sn.TrainOptions(), 200, np.random.default_rng(0))
 
 
 class TestCheckpoint:
