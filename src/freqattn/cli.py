@@ -205,7 +205,8 @@ def cmd_score(args) -> int:
             return emb, mt.embedding_norm(emb)
 
     ids = list(dict.fromkeys(tid for trial in trials for tid in (trial.enroll, trial.test)))
-    embedded = dict(zip(ids, shares.map_items(embed, ids)))
+    with shares.Workers(embed, len(ids)) as workers:
+        embedded = dict(zip(ids, workers.map(ids)))
     for trial in trials:
         trial.score = mt.cosine_score(*embedded[trial.enroll], *embedded[trial.test])
     Path(args.out).write_text(mt.format_scores(trials))

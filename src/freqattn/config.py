@@ -18,6 +18,10 @@ from .errors import ConfigError, ParseError, naming
 from .features import MelConfig
 from .speakernet import NetworkConfig, TrainOptions, min_frames
 
+# 10 minutes of 10 ms frames: a one-epoch `train` of the default network
+# peaks at about 1.6 GB RSS per process there (crop rows, conv temporaries)
+MAX_CROP_FRAMES = 60_000
+
 
 def check_seed(value, source: str) -> int:
     """`value` as an rng seed, or a ConfigError naming `source`."""
@@ -52,14 +56,18 @@ class RunConfig:
                               f"{self.margin} and {self.scale}")
         need = min_frames(self.network, self.mel.n_mels)
         try:
-            short = self.crop_frames < need
+            frames = self.crop_frames
         except OverflowError:           # an infinite number of frames
-            short = True
-        if short:
-            raise ConfigError(f"crop_seconds={self.crop_seconds} must give a finite "
-                              f"crop of >= {need} frames at frame_shift_ms="
+            frames = math.copysign(math.inf, self.crop_seconds)
+        if frames < need:
+            raise ConfigError(f"crop_seconds={self.crop_seconds} must give a crop of >= "
+                              f"{need} frames at frame_shift_ms="
                               f"{self.mel.frame_shift_ms}, the fewest that network.stages "
                               f"and attention.k need")
+        if frames > MAX_CROP_FRAMES:
+            raise ConfigError(f"crop_seconds={self.crop_seconds} gives {frames} frames at "
+                              f"frame_shift_ms={self.mel.frame_shift_ms}, above the limit "
+                              f"of {MAX_CROP_FRAMES}")
 
     @property
     def crop_frames(self) -> int:

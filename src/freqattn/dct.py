@@ -39,30 +39,29 @@ def _cos_table(freqs, n_pos: int) -> np.ndarray:
 
 def _planes(f_dim: int, t_dim: int, indices) -> np.ndarray:
     """(k, F, T) unnormalized planes as one outer product of two cosine tables."""
-    f, t = np.array(indices, dtype=np.intp).reshape(-1, 2).T
-    return _cos_table(f, f_dim)[:, :, None] * _cos_table(t, t_dim)[:, None, :]
-
-
-def dct_basis(f_dim: int, t_dim: int, indices, normalized: bool = True) -> np.ndarray:
-    """Read-only (k, F, T) plane stack for the given index list.
-
-    With ``normalized`` set, every plane is divided by F*T so that the (0, 0)
-    plane is the constant 1/(F*T) and reducing with it equals the global mean.
-    """
     for f, t in indices:
         if not (0 <= f < f_dim and 0 <= t < t_dim):
             raise IndexError(
                 f"frequency index {(f, t)} out of range for grid {f_dim}x{t_dim}")
+    f, t = np.array(indices, dtype=np.intp).reshape(-1, 2).T
+    return _cos_table(f, f_dim)[:, :, None] * _cos_table(t, t_dim)[:, None, :]
+
+
+def dct_basis(f_dim: int, t_dim: int, indices) -> np.ndarray:
+    """Read-only (k, F, T) plane stack for the given index list, every plane
+    divided by F*T, so that the (0, 0) plane is the constant 1/(F*T) and
+    reducing with it equals the global mean."""
     planes = _planes(f_dim, t_dim, indices)
-    if normalized:
-        planes /= f_dim * t_dim
+    planes /= f_dim * t_dim
     planes.setflags(write=False)
     return planes
 
 
 def basis_plane(f_dim: int, t_dim: int, idx: FrequencyIndex) -> np.ndarray:
     """Unnormalized, read-only cosine-product plane for (f, t) on an F x T grid."""
-    return dct_basis(f_dim, t_dim, [idx], normalized=False)[0]
+    plane = _planes(f_dim, t_dim, [idx])[0]
+    plane.setflags(write=False)
+    return plane
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +186,7 @@ def run_verification() -> list:
         f_dim = int(rng.integers(1, 9))
         t_dim = int(rng.integers(1, 9))
         x = rng.standard_normal((3, f_dim, t_dim))
-        plane = _planes(f_dim, t_dim, [(0, 0)])[0] / (f_dim * t_dim)
+        plane = dct_basis(f_dim, t_dim, [(0, 0)])[0]
         z = np.einsum("ij,cij->c", plane, x)
         worst = max(worst, float(np.max(np.abs(z - gap(x)))))
     results.append(PropertyResult(

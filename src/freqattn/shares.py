@@ -1,5 +1,5 @@
 """`Workers(fn, limit)`: this process and one forked worker per other CPU it may
-use, mapping `fn` over lists of items; `map_items(fn, items)` is one such map.
+use, at most `limit` in all, mapping `fn` over lists of items.
 `shared_zeros(n)` is memory that this process and its workers all write."""
 
 from __future__ import annotations
@@ -204,9 +204,3 @@ class Workers:
     def __exit__(self, *exc):
         self.close()
 
-
-def map_items(fn, items):
-    """[fn(x) for x in items], spread over the CPUs this process may use, one
-    share per CPU and at most one per item (`Workers`)."""
-    with Workers(fn, len(items)) as workers:
-        return workers.map(items)

@@ -4,8 +4,9 @@ Architecture: a stack of strided 3x3 conv stages (bias-free), each followed
 by ReLU and a channel-attention block, then frequency-collapsed mean+std
 statistics pooling over time and a bias-free linear projection to the
 embedding. Backward passes are explicit and run in reverse layer order.
-Training splits each mini-batch over the CPUs it may use; its result is the
-same, bit for bit, at any CPU count, and fully determined by the seed.
+Training views the parameters in two flat vectors fixed for the run and
+splits each mini-batch over the CPUs it may use; its result is the same,
+bit for bit, at any CPU count, and fully determined by the seed.
 Checkpoints are written and read with the array-record codec in `features`.
 """
 
@@ -284,24 +285,24 @@ def aam_loss(head: AamHead, emb: np.ndarray, label: int) -> AamResult:
 # ---------------------------------------------------------------------------
 
 class Adam:
-    """Standard Adam with bias correction; state keyed by parameter identity."""
+    """Standard Adam with bias correction, stepping the array `weights` in place
+    by the array `grad` of the same shape."""
 
-    def __init__(self, params, lr: float):
-        self.params = list(params)
+    def __init__(self, weights, grad, lr: float):
+        self.weights, self.grad = weights, grad
         self.lr = lr
         self.t = 0
-        self.m = [np.zeros_like(p.value) for p in self.params]
-        self.v = [np.zeros_like(p.value) for p in self.params]
+        self.m = np.zeros_like(weights)
+        self.v = np.zeros_like(weights)
 
     def step(self) -> None:
         self.t += 1
-        for i, p in enumerate(self.params):
-            g = p.grad
-            self.m[i] = ADAM_BETA1 * self.m[i] + (1.0 - ADAM_BETA1) * g
-            self.v[i] = ADAM_BETA2 * self.v[i] + (1.0 - ADAM_BETA2) * g * g
-            m_hat = self.m[i] / (1.0 - ADAM_BETA1 ** self.t)
-            v_hat = self.v[i] / (1.0 - ADAM_BETA2 ** self.t)
-            p.value -= self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        g = self.grad
+        self.m = ADAM_BETA1 * self.m + (1.0 - ADAM_BETA1) * g
+        self.v = ADAM_BETA2 * self.v + (1.0 - ADAM_BETA2) * g * g
+        m_hat = self.m / (1.0 - ADAM_BETA1 ** self.t)
+        v_hat = self.v / (1.0 - ADAM_BETA2 ** self.t)
+        self.weights -= self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 # ---------------------------------------------------------------------------
@@ -330,12 +331,14 @@ class EpochMetrics:
 
 
 class _SharedBatch:
-    """The weights, one gradient slot per batch position and the batch's crops,
-    in one `shares.shared_zeros` block made before the workers fork.
+    """The weights, one gradient slot per batch row and the batch's crops, in one
+    `shares.shared_zeros` block made before the workers fork, and `grad`, the
+    gradient this process adds an example's terms into.
 
     Each parameter's value becomes a view into the weights, so Adam's in-place
-    update is what every worker reads next. Each parameter's view starts on a
-    64-byte boundary, in the weights and in every slot.
+    update is what every worker reads next, and its gradient a view into
+    `grad`, a plain array of which each forked worker has its own copy. Both
+    are fixed for the run; each view starts on a 64-byte boundary.
     """
 
     def __init__(self, params, rows: int, crop_shape):
@@ -344,34 +347,25 @@ class _SharedBatch:
             offsets.append(width)
             width += -(-p.size // 8) * 8
         block = shares.shared_zeros(width * (1 + rows) + rows * crop_shape[0] * crop_shape[1])
-        self.params = params
-        self.grads = block[width:width * (1 + rows)].reshape(rows, width)
+        self.weights = block[:width]
+        self.slots = block[width:width * (1 + rows)].reshape(rows, width)
         self.crops = block[width * (1 + rows):].reshape(rows, *crop_shape)
-
-        def views(flat):
-            return [flat[o:o + p.size].reshape(p.value.shape)
-                    for p, o in zip(params, offsets)]
-        for p, view in zip(params, views(block[:width])):
-            view[...] = p.value
-            p.value = view
-        self.slot_views = [views(g) for g in self.grads]
-
-    def into_slot(self, slot: int) -> None:
-        """Zero gradient slot `slot` and make it the parameters' gradient."""
-        self.grads[slot] = 0.0
-        for p, g in zip(self.params, self.slot_views[slot]):
-            p.grad = g
+        spare = np.zeros(width + 8)
+        start = -spare.ctypes.data % 64 // 8
+        self.grad = spare[start:start + width]
+        for p, o in zip(params, offsets):
+            value = self.weights[o:o + p.size].reshape(p.value.shape)
+            value[...] = p.value
+            p.value = value
+            p.grad = self.grad[o:o + p.size].reshape(value.shape)
 
     def mean_of_slots(self, count: int) -> None:
-        """Make the parameters' gradient the mean of the first `count` slots,
-        added into slot 0 in slot order, as one process adds its examples'
-        terms."""
-        mean = self.grads[0]
-        for g in self.grads[1:count]:
+        """Slot 0 becomes the mean of the first `count` slots, added in slot
+        order, as one process adds its examples' terms."""
+        mean = self.slots[0]
+        for g in self.slots[1:count]:
             mean += g
         mean *= 1.0 / count
-        for p, g in zip(self.params, self.slot_views[0]):
-            p.grad = g
 
 
 def train(net: SpeakerNet, head: AamHead, examples, opts: TrainOptions, frames: int,
@@ -390,17 +384,17 @@ def train(net: SpeakerNet, head: AamHead, examples, opts: TrainOptions, frames: 
     """
     if not examples:
         raise ConfigError("train: empty dataset")
-    params = net.parameters() + head.parameters()
-    optimizer = Adam(params, lr=opts.lr)
     rows = min(opts.batch_size, len(examples))      # the most examples a batch holds
-    shared = _SharedBatch(params, rows, (examples[0][1].shape[0], frames))
+    shared = _SharedBatch(net.parameters() + head.parameters(), rows,
+                          (examples[0][1].shape[0], frames))
+    optimizer = Adam(shared.weights, shared.slots[0], opts.lr)
 
     def example_step(task):
         """(loss, hit) of example j, its gradient in slot `slot`; runs in the
         process whose share holds the slot."""
         slot, j = task
         label, _, name = examples[j]
-        shared.into_slot(slot)
+        shared.grad[...] = 0.0
         with naming(name):
             emb, cache = forward_train(net, shared.crops[slot][None])
             res = aam_loss(head, emb, label)
@@ -408,6 +402,7 @@ def train(net: SpeakerNet, head: AamHead, examples, opts: TrainOptions, frames: 
                 raise NumericError(f"non-finite loss at example index {j}")
         backward(net, cache, res.grad_emb)
         head.weight.grad += res.grad_weight
+        shared.slots[slot] = shared.grad
         return res.loss, int(np.argmax(res.cosines) == label)
 
     history = []

@@ -1098,6 +1098,10 @@ BAD_CONFIG_CASES = {
     "margin_negative": ({"loss.margin": "-0.1"}, "margin"),
     "batch_zero": ({"optimizer.batch": "0"}, "batch_size"),
     "crop_huge": ({"features.crop_seconds": "1e308"}, "crop_seconds"),
+    "crop_huge_negative": ({"features.crop_seconds": "-1e308"}, "must give a crop of >= "),
+    "crop_over_limit": ({"features.crop_seconds": "10000000.0"},
+                        "crop_seconds=10000000.0 gives 1000000000 frames at "
+                        "frame_shift_ms=10.0, above the limit of 60000"),
     # 5 frames; k = 64 on the 16 frequency rows of the second stage needs 13
     "crop_below_min_frames": ({"features.crop_seconds": "0.05", "attention.k": "16,64"},
                               "crop of >= 13 frames"),

@@ -173,14 +173,14 @@ class TestSelectFrequencyIndices:
 
 class TestDctBasis:
     def test_normalized_lowest_plane_is_uniform(self):
-        planes = dct.dct_basis(4, 6, [(0, 0), (1, 2)], normalized=True)
+        planes = dct.dct_basis(4, 6, [(0, 0), (1, 2)])
         assert np.allclose(planes[0], 1.0 / 24.0)
         assert planes.shape == (2, 4, 6)
 
     def test_normalized_reduction_reproduces_gap(self):
         rng = np.random.default_rng(4)
         x = rng.standard_normal((5, 4, 6))
-        plane = dct.dct_basis(4, 6, [(0, 0)], normalized=True)[0]
+        plane = dct.dct_basis(4, 6, [(0, 0)])[0]
         z = np.einsum("ij,cij->c", plane, x)
         assert np.max(np.abs(z - dct.gap(x))) < 1e-12
 
@@ -250,3 +250,13 @@ class TestVerificationReport:
         results = dct.run_verification()
         failed = [r.name for r in results if not r.passed]
         assert "orthogonality" in failed
+
+    def test_basis_divided_by_f_alone_fails(self, monkeypatch):
+        # the network's normalized planes, not a copy of their rule, are checked
+        def by_f_alone(f_dim, t_dim, indices):
+            planes = dct._planes(f_dim, t_dim, indices) / f_dim
+            planes.setflags(write=False)
+            return planes
+        monkeypatch.setattr(dct, "dct_basis", by_f_alone)
+        failed = [r.name for r in dct.run_verification() if not r.passed]
+        assert failed == ["normalized_gap_reduction"]

@@ -31,7 +31,8 @@ def fail_at_3_and_4(x):
 
 
 class TestMapItems:
-    """map_items is [fn(x) for x in items] over one share per CPU."""
+    """`Workers(fn, limit).map(items)` is [fn(x) for x in items] over one share
+    per CPU, at most `limit`."""
 
     cpus = test_cli.TestScoreSplit.cpus
 
@@ -41,14 +42,16 @@ class TestMapItems:
         split = shares.openblas_threads() is not None
         forks = cpus(n)
         items = list(range(count))
-        assert shares.map_items(square, items) == [square(x) for x in items]
+        with shares.Workers(square, count) as workers:
+            assert workers.map(items) == [square(x) for x in items]
         assert len(forks) == (max(min(n, count) - 1, 0) if split else 0)
         assert_reaped(forks)
 
     def test_no_fork_without_the_blas_calls(self, cpus, monkeypatch):
         monkeypatch.setattr(shares, "openblas_threads", lambda: None)
         forks = cpus(3)
-        assert shares.map_items(square, list(range(7))) == [x * x for x in range(7)]
+        with shares.Workers(square, 7) as workers:
+            assert workers.map(list(range(7))) == [x * x for x in range(7)]
         assert forks == []
 
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -56,8 +59,9 @@ class TestMapItems:
         # items 3 and 4 fall in different shares at 2 and 3 CPUs: at 2 the
         # earlier is a child's, at 3 this process's
         forks = cpus(n)
-        with pytest.raises(ValueError, match="^item 3$"):
-            shares.map_items(fail_at_3_and_4, list(range(7)))
+        with shares.Workers(fail_at_3_and_4, 7) as workers, \
+                pytest.raises(ValueError, match="^item 3$"):
+            workers.map(list(range(7)))
         assert_reaped(forks)
 
 
@@ -66,7 +70,7 @@ def serial_train(net, head, examples, opts, frames, rng):
     example's gradient terms go straight into the parameters' gradients, in
     example order. The mean loss per epoch."""
     params = net.parameters() + head.parameters()
-    optimizer = sn.Adam(params, lr=opts.lr)
+    optimizers = [sn.Adam(p.value, p.grad, opts.lr) for p in params]
     losses = []
     for _ in range(opts.epochs):
         order = rng.permutation(len(examples))
@@ -85,9 +89,9 @@ def serial_train(net, head, examples, opts, frames, rng):
                 sn.backward(net, cache, res.grad_emb)
                 head.weight.grad += res.grad_weight
                 total += res.loss
-            for p in params:
+            for p, optimizer in zip(params, optimizers):
                 p.grad *= 1.0 / len(batch)
-            optimizer.step()
+                optimizer.step()
         losses.append(total / len(examples))
     return losses
 
