@@ -176,9 +176,16 @@ def _load_model(checkpoint_path):
 
 
 def _feature_path(features_dir: Path, trial_id: str) -> Path:
-    for path in (features_dir / trial_id, features_dir / (Path(trial_id).stem + ".feat")):
-        if path.exists():
-            return path
+    """`trial_id` under `features_dir` as given or, failing that, with its
+    suffix replaced by `.feat`, keeping its directories: `a/1.wav` reads
+    `a/1.feat`. An id such as `/` has no name to give a suffix to, but it
+    always exists, so the second name is built only when the first is missing."""
+    path = features_dir / trial_id
+    if path.exists():
+        return path
+    path = path.with_suffix(".feat")
+    if path.exists():
+        return path
     raise FileNotFoundError(f"no feature file for trial id {trial_id!r} "
                             f"under {features_dir}")
 

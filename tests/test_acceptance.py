@@ -2,17 +2,14 @@
 
 The per-criterion lines are replayed in the pytest terminal summary (see
 conftest). The toy-training criterion drives the real CLI end to end
-(synth -> train -> score -> metrics) for each attention variant, in two
-spawned worker processes, and takes about two minutes; everything else
-finishes in seconds.
+(synth -> train -> score -> metrics) for each attention variant, one run
+after another, and takes about a minute; everything else finishes in seconds.
 """
 
 import contextlib
 import io
-import multiprocessing
 import re
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -317,10 +314,7 @@ def _toy_config(variant, aggregation, corpus, epochs=30):
 
 
 def _run_variant(variant, aggregation, corpus, work, epochs=30):
-    """Train and score one variant through the CLI: (epoch losses, held-out EER).
-
-    Runs in a criterion 7 worker process, so it captures the CLI's output itself.
-    """
+    """Train and score one variant through the CLI: (epoch losses, held-out EER)."""
     stem = work / f"{variant}_{aggregation}_{epochs}"
     cfg_path = Path(f"{stem}.cfg")
     cfg_path.write_text(cfgmod.serialize_config(
@@ -339,19 +333,14 @@ def _run_variant(variant, aggregation, corpus, work, epochs=30):
     return losses, eer
 
 
-def test_criterion_7_toy_training(toy_corpus, tmp_path, monkeypatch, acceptance_report):
+def test_criterion_7_toy_training(toy_corpus, tmp_path, acceptance_report):
     start = time.monotonic()
     variants = [("se", "avg"), ("sfsc", "avg"), ("mfsc", "avg_max")]
-    # two spawned workers, each started with one BLAS thread before it loads numpy
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-    spawn = multiprocessing.get_context("spawn")
-    with ProcessPoolExecutor(max_workers=2, mp_context=spawn) as pool:
-        full = {variant: pool.submit(_run_variant, variant, agg, toy_corpus, tmp_path)
-                for variant, agg in reversed(variants)}    # the longest runs first
-        # determinism probe: the first two epochs replay bitwise on a fresh run
-        short = pool.submit(_run_variant, "se", "avg", toy_corpus, tmp_path, epochs=2)
-        results = {variant: full[variant].result(timeout=600.0) for variant, _ in variants}
-        det_ok = short.result(timeout=600.0)[0] == results["se"][0][:2]
+    results = {variant: _run_variant(variant, agg, toy_corpus, tmp_path)
+               for variant, agg in variants}
+    # determinism probe: the first two epochs replay bitwise on a fresh run
+    short = _run_variant("se", "avg", toy_corpus, tmp_path, epochs=2)
+    det_ok = short[0] == results["se"][0][:2]
 
     elapsed = time.monotonic() - start
     ok = det_ok and elapsed < 600.0

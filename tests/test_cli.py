@@ -1,13 +1,13 @@
 import os
 import platform
 import re
-import signal
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import run_score, save_untrained_checkpoint, tiny_run_config
 from test_dct import perturb_second_plane
 from wavfile import write_wav
 
@@ -15,22 +15,8 @@ from freqattn import cli
 from freqattn import config as cfgmod
 from freqattn import features as feats
 from freqattn import metrics as mt
-from freqattn import shares
 from freqattn import speakernet as sn
 from freqattn.errors import ParseError
-
-
-def tiny_run_config():
-    cfg = cfgmod.RunConfig()
-    cfg.seed = 7
-    cfg.network.stages = ((8, 3, 2), (16, 3, 2))
-    cfg.network.embedding_dim = 16
-    cfg.network.attention_variant = "mfsc"
-    cfg.network.attention_k = (2, 4)
-    cfg.network.aggregation = "avg_max"
-    cfg.network.reduction = 4
-    cfg.train.epochs = 2
-    return cfg
 
 
 def run_fresh(*args, cpus=None):
@@ -266,15 +252,6 @@ class TestSynth:
         fa = sorted((a / "feats").glob("*.feat"))
         fb = sorted((b / "feats").glob("*.feat"))
         assert all(x.read_bytes() == y.read_bytes() for x, y in zip(fa, fb))
-
-
-@pytest.fixture(scope="module")
-def synth_dir(tmp_path_factory):
-    out = tmp_path_factory.mktemp("corpus")
-    rc = cli.main(["synth", "--out", str(out), "--speakers", "4", "--utts", "6",
-                   "--test-utts", "2", "--trials", "20", "--seed", "3"])
-    assert rc == 0
-    return out
 
 
 @pytest.fixture(scope="module")
@@ -573,17 +550,39 @@ class TestScoreAndMetrics:
         assert all(np.isfinite(t.score) for t in scored)
         assert scored[0].score == 1.0 and scored[1].score < 1.0
 
+    def test_nested_trial_ids_keep_their_directories(self, synth_dir, trained_checkpoint,
+                                                     tmp_path, capsys):
+        # a/1.wav, b/1.wav and c/1.wav are three utterances; the flat 1.feat
+        # beside them is a fourth, the one a lookup by file name alone reads
+        _, ckpt = trained_checkpoint
+        names = sorted(p.name for p in (synth_dir / "feats").glob("*.feat"))[:4]
+        for d, name in zip(("a", "b", "c", "."), names):
+            (tmp_path / d).mkdir(exist_ok=True)
+            os.symlink(synth_dir / "feats" / name, tmp_path / d / "1.feat")
+        scores = []
+        for ids, features in ((("a/1.wav", "b/1.wav", "c/1.wav"), tmp_path),
+                              (names[:3], synth_dir / "feats")):
+            trials = tmp_path / "trials.txt"
+            trials.write_text(f"1 {ids[0]} {ids[1]}\n0 {ids[1]} {ids[2]}\n")
+            assert run_score(ckpt, trials, features, tmp_path / "s.txt") == 0
+            scores.append([line.split()[3] for line in
+                           (tmp_path / "s.txt").read_text().splitlines()])
+        assert scores[0] == scores[1] and "1.000000" not in scores[0]
+
     def test_unknown_trial_id_fails_with_name(self, synth_dir, trained_checkpoint,
                                               tmp_path, capsys):
+        # ".", "..", "/" and "a/" name a directory or nothing: no name to give
+        # a suffix to, and still one error line
         _, ckpt = trained_checkpoint
-        trials = tmp_path / "trials.txt"
-        trials.write_text("1 ghost.feat spk000_utt004.feat\n")
-        rc = cli.main(["score", "--checkpoint", str(ckpt),
-                       "--trials", str(trials),
-                       "--features", str(synth_dir / "feats"),
-                       "--out", str(tmp_path / "s.txt")])
-        assert rc == 1
-        assert "ghost.feat" in capsys.readouterr().err
+        trials, out = tmp_path / "trials.txt", tmp_path / "s.txt"
+        errors = []
+        for trial_id in ("ghost.feat", ".", "..", "/", "a/"):
+            trials.write_text(f"1 {trial_id} spk000_utt004.feat\n")
+            assert run_score(ckpt, trials, synth_dir / "feats", out) == 1
+            errors.append(capsys.readouterr().err)
+            assert errors[-1].startswith("error: ") and errors[-1].count("\n") == 1
+            assert not out.exists()
+        assert "ghost.feat" in errors[0]
 
     def test_metrics_on_derived_four_score_set(self, tmp_path, capsys):
         scores = tmp_path / "scores.txt"
@@ -677,19 +676,6 @@ class TestKeepFreedMemory:
         monkeypatch.setattr(cli.ctypes, "CDLL", FakeLibc)
         assert cli._keep_freed_memory() is None
         assert calls == []
-
-
-def save_untrained_checkpoint(path, cfg):
-    net = sn.SpeakerNet(cfg.network, np.random.default_rng(0))
-    head = sn.AamHead(cfg.network.num_speakers, cfg.network.embedding_dim, cfg.margin,
-                      cfg.scale, np.random.default_rng(0))
-    sn.save_checkpoint(path, cfgmod.serialize_config(cfg),
-                       net.parameters() + head.parameters())
-
-
-def run_score(ckpt, trials, features_dir, out):
-    return cli.main(["score", "--checkpoint", str(ckpt), "--trials", str(trials),
-                     "--features", str(features_dir), "--out", str(out)])
 
 
 class TestScoreRejectsBadInputs:
@@ -835,250 +821,6 @@ class TestScoreRejectsBadInputs:
         assert capsys.readouterr().err == (
             f"error: {synth_dir / 'feats' / first}: zero-norm embedding\n")
         assert not scores.exists()
-
-
-def split_checkpoint(path, variant, aggregation="avg"):
-    cfg = tiny_run_config()
-    cfg.network.attention_variant = variant
-    cfg.network.aggregation = aggregation
-    cfg.network.num_speakers = 4
-    save_untrained_checkpoint(path, cfg)
-    return path
-
-
-def assert_reaped(pids):
-    # waitpid(-1) would also see children that other tests leave, such as the
-    # resource tracker of a spawn-context pool
-    for pid in pids:
-        with pytest.raises(ChildProcessError):
-            os.waitpid(pid, os.WNOHANG)
-
-
-class TestScoreSplit:
-    """score embeds one interleaved share of the utterances per CPU in its
-    affinity mask, the first share here and each other in a forked child."""
-
-    @pytest.fixture
-    def cpus(self, monkeypatch):
-        """Set the affinity mask score sees to n CPUs; returns the pids it forks."""
-        forks = []
-        fork = os.fork
-
-        def recording_fork():
-            pid = fork()
-            if pid:
-                forks.append(pid)
-            return pid
-        monkeypatch.setattr(os, "fork", recording_fork)
-
-        def set_cpus(n):
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
-            forks.clear()
-            return forks
-        return set_cpus
-
-    score = staticmethod(run_score)
-
-    @pytest.mark.parametrize("variant,aggregation",
-                             [("se", "avg"), ("sfsc", "avg"), ("mfsc", "avg_max")])
-    def test_scores_are_byte_identical_at_any_cpu_count(self, synth_dir, tmp_path,
-                                                        capsys, cpus, variant,
-                                                        aggregation):
-        ckpt = split_checkpoint(tmp_path / "m.ckpt", variant, aggregation)
-        split = shares.openblas_threads() is not None
-        outputs = []
-        for n in (1, 2, 3):
-            forks = cpus(n)
-            out = tmp_path / f"s{n}.txt"
-            assert self.score(ckpt, synth_dir / "trials.txt", synth_dir / "feats", out) == 0
-            assert len(forks) == (n - 1 if split else 0)
-            outputs.append(out.read_bytes())
-        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
-
-    def test_one_process_without_sched_getaffinity(self, synth_dir, tmp_path, capsys,
-                                                   cpus, monkeypatch):
-        ckpt = split_checkpoint(tmp_path / "m.ckpt", "sfsc")
-        forks = cpus(2)
-        monkeypatch.delattr(os, "sched_getaffinity")
-        out = tmp_path / "s.txt"
-        assert self.score(ckpt, synth_dir / "trials.txt", synth_dir / "feats", out) == 0
-        assert forks == []
-        assert len(out.read_text().splitlines()) == 20
-
-    @pytest.mark.parametrize("first,second", [("narrow.feat", "ghost.feat"),
-                                              ("ghost.feat", "cut.feat")])
-    def test_first_bad_utterance_is_reported_from_any_share(self, synth_dir, tmp_path,
-                                                            capsys, cpus, first, second):
-        # two bad ids side by side, at each position: every share count must
-        # report the first, as one process does
-        ckpt = split_checkpoint(tmp_path / "m.ckpt", "sfsc")
-        good = sorted(p.name for p in (synth_dir / "feats").glob("*utt00[45].feat"))
-        for name in good:
-            os.symlink(synth_dir / "feats" / name, tmp_path / name)
-        feats.write_feat(tmp_path / "narrow.feat", np.ones((2, 300)))   # 2 mel bins
-        (tmp_path / "cut.feat").write_bytes(b"FEAT\x01\x00")             # ghost.feat: none
-        trials = tmp_path / "trials.txt"
-        for position in range(len(good) + 1):
-            ids = good[:position] + [first, second] + good[position:]
-            trials.write_text("".join(f"1 {a} {b}\n" for a, b in zip(ids, ids[1:])))
-            errors = []
-            for n in (1, 2, 3):
-                cpus(n)
-                assert self.score(ckpt, trials, tmp_path, tmp_path / "s.txt") == 1
-                errors.append(capsys.readouterr().err)
-            assert errors[0].count("\n") == 1 and first in errors[0], errors[0]
-            assert errors == 3 * errors[:1], position
-            assert not (tmp_path / "s.txt").exists()
-
-    @pytest.mark.parametrize("outcome", ["success", "bad_input", "main_share_bug"])
-    def test_no_child_is_left(self, synth_dir, tmp_path, capsys, cpus, monkeypatch,
-                              outcome):
-        ckpt = split_checkpoint(tmp_path / "m.ckpt", "mfsc", "avg_max")
-        features, trials = synth_dir / "feats", synth_dir / "trials.txt"
-        if outcome == "bad_input":       # the last trial's test utterance
-            features = tmp_path
-            last = trials.read_text().split()[-1]
-            for p in (synth_dir / "feats").glob("*.feat"):
-                if p.name != last:
-                    os.symlink(p, tmp_path / p.name)
-            feats.write_feat(tmp_path / last, np.zeros((2, 300)))
-        elif outcome == "main_share_bug":
-            main_pid, embed, calls = os.getpid(), sn.forward_embed, []
-
-            def second_embedding_here_fails(*args):
-                if os.getpid() == main_pid:
-                    calls.append(1)
-                    if len(calls) == 2:
-                        raise RuntimeError("not a bad input")
-                return embed(*args)
-            monkeypatch.setattr(sn, "forward_embed", second_embedding_here_fails)
-        forks = cpus(3)
-        out = tmp_path / "s.txt"
-        if outcome == "main_share_bug":
-            with pytest.raises(RuntimeError, match="not a bad input"):
-                self.score(ckpt, trials, features, out)
-        else:
-            assert self.score(ckpt, trials, features, out) == (outcome == "bad_input")
-        if shares.openblas_threads() is not None:
-            assert len(forks) == 2
-        assert_reaped(forks)
-
-    def test_bug_in_a_child_reaches_the_caller(self, synth_dir, tmp_path, capsys, cpus,
-                                               monkeypatch):
-        if shares.openblas_threads() is None:
-            pytest.skip("score runs in one process without OpenBLAS's thread calls")
-        ckpt = split_checkpoint(tmp_path / "m.ckpt", "sfsc")
-        main_pid, embed = os.getpid(), sn.forward_embed
-
-        def fail_in_child(*args):
-            if os.getpid() != main_pid:
-                raise RuntimeError(f"bug in process {os.getpid()}")
-            return embed(*args)
-        monkeypatch.setattr(sn, "forward_embed", fail_in_child)
-        forks = cpus(3)
-        out = tmp_path / "s.txt"
-        with pytest.raises(RuntimeError) as caught:
-            self.score(ckpt, synth_dir / "trials.txt", synth_dir / "feats", out)
-        assert len(forks) == 2
-        assert str(caught.value) == f"bug in process {forks[0]}"    # the first id's
-        assert not out.exists()
-        assert_reaped(forks)
-
-    def test_interrupt_in_the_main_share_kills_the_children(self, synth_dir, tmp_path,
-                                                           capsys, cpus, monkeypatch):
-        # an Exception in the main share waits for the children's replies; only
-        # a BaseException (or a child that dies) leaves children to kill
-        blas = shares.openblas_threads()
-        if blas is None:
-            pytest.skip("score runs in one process without OpenBLAS's thread calls")
-        ckpt = split_checkpoint(tmp_path / "m.ckpt", "mfsc", "avg_max")
-        main_pid, embed, calls = os.getpid(), sn.forward_embed, []
-
-        def second_embedding_here_is_interrupted(*args):
-            if os.getpid() == main_pid:
-                calls.append(1)
-                if len(calls) == 2:
-                    raise KeyboardInterrupt
-            return embed(*args)
-        monkeypatch.setattr(sn, "forward_embed", second_embedding_here_is_interrupted)
-        threads = blas[0]()
-        forks = cpus(3)
-        out = tmp_path / "s.txt"
-        with pytest.raises(KeyboardInterrupt):
-            self.score(ckpt, synth_dir / "trials.txt", synth_dir / "feats", out)
-        assert len(forks) == 2
-        assert_reaped(forks)
-        assert blas[0]() == threads
-        assert not out.exists()
-
-    def test_openblas_thread_calls_are_found(self):
-        # the split tests above expect no fork when these calls are missing, so
-        # they alone would not see a lookup that stopped working
-        libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-        if not any(libs.glob("*scipy_openblas*")):
-            pytest.skip("this numpy bundles no scipy-openblas library")
-        blas = shares.openblas_threads()
-        assert blas is not None
-        get_threads, set_threads = blas
-        before = get_threads()
-        try:
-            for count in (1, 3):
-                set_threads(count)
-                assert get_threads() == count
-        finally:
-            set_threads(before)
-        assert get_threads() == before
-
-    def test_child_that_dies_is_one_error_line(self, synth_dir, tmp_path, capsys, cpus,
-                                               monkeypatch):
-        if shares.openblas_threads() is None:
-            pytest.skip("score runs in one process without OpenBLAS's thread calls")
-        ckpt = split_checkpoint(tmp_path / "m.ckpt", "se")
-        main_pid, embed = os.getpid(), sn.forward_embed
-
-        def die_in_child(*args):
-            if os.getpid() != main_pid:
-                os.kill(os.getpid(), signal.SIGKILL)
-            return embed(*args)
-        monkeypatch.setattr(sn, "forward_embed", die_in_child)
-        forks = cpus(2)
-        out = tmp_path / "s.txt"
-        assert self.score(ckpt, synth_dir / "trials.txt", synth_dir / "feats", out) == 1
-        err = capsys.readouterr().err
-        assert re.fullmatch(r"error: worker process \d+ ended without a result "
-                            r"\(signal 9\)\n", err), err
-        assert not out.exists()
-        assert_reaped(forks)
-
-    def test_one_utterance_leaves_nothing_to_split(self, synth_dir, tmp_path, capsys,
-                                                   cpus):
-        ckpt = split_checkpoint(tmp_path / "m.ckpt", "sfsc")
-        os.symlink(min((synth_dir / "feats").glob("*.feat")), tmp_path / "x.feat")
-        trials = tmp_path / "trials.txt"
-        trials.write_text("1 x x\n")
-        for n in (1, 2, 3):
-            forks = cpus(n)
-            out = tmp_path / f"s{n}.txt"
-            assert self.score(ckpt, trials, tmp_path, out) == 0
-            assert forks == []
-            assert out.read_text() == "1 x x 1.000000\n"
-
-    def test_blas_thread_count_is_restored(self, synth_dir, tmp_path, capsys, cpus):
-        blas = shares.openblas_threads()
-        if blas is None:
-            pytest.skip("numpy's OpenBLAS thread calls are not available")
-        get_threads, set_threads = blas
-        ckpt = split_checkpoint(tmp_path / "m.ckpt", "sfsc")
-        before = get_threads()
-        try:
-            set_threads(3)
-            forks = cpus(2)
-            assert self.score(ckpt, synth_dir / "trials.txt", synth_dir / "feats",
-                              tmp_path / "s.txt") == 0
-            assert len(forks) == 1
-            assert get_threads() == 3
-        finally:
-            set_threads(before)
 
 
 # one bad value (or pair) per case, and text the error must hold: the field
