@@ -176,16 +176,16 @@ def _load_model(checkpoint_path):
 
 
 def _feature_path(features_dir: Path, trial_id: str) -> Path:
-    """`trial_id` under `features_dir` as given or, failing that, with its
-    suffix replaced by `.feat`, keeping its directories: `a/1.wav` reads
-    `a/1.feat`. An id such as `/` has no name to give a suffix to, but it
-    always exists, so the second name is built only when the first is missing."""
+    """The regular file `trial_id` names under `features_dir`, as given or,
+    failing that, with its suffix replaced by `.feat`, keeping its
+    directories: `a/1.wav` reads `a/1.feat`. An id such as `/` or `.` may name
+    a directory, and one with no name has no suffix to replace; either is
+    reported by its id."""
     path = features_dir / trial_id
-    if path.exists():
+    if path.is_file():
         return path
-    path = path.with_suffix(".feat")
-    if path.exists():
-        return path
+    if path.name and path.with_suffix(".feat").is_file():
+        return path.with_suffix(".feat")
     raise FileNotFoundError(f"no feature file for trial id {trial_id!r} "
                             f"under {features_dir}")
 
@@ -194,7 +194,7 @@ def cmd_score(args) -> int:
     cfg, net = _load_model(args.checkpoint)
     with naming(args.trials):
         trials = mt.parse_trials(Path(args.trials).read_text())
-        if not trials:
+        if not trials.ids:
             raise ConfigError("empty trial list")
     _try_out(args.out)
     features_dir = Path(args.features)
@@ -211,13 +211,12 @@ def cmd_score(args) -> int:
             emb = sn.forward_embed(net, x[None, :, :])
             return emb, mt.embedding_norm(emb)
 
-    ids = list(dict.fromkeys(tid for trial in trials for tid in (trial.enroll, trial.test)))
-    with shares.Workers(embed, len(ids)) as workers:
-        embedded = dict(zip(ids, workers.map(ids)))
-    for trial in trials:
-        trial.score = mt.cosine_score(*embedded[trial.enroll], *embedded[trial.test])
+    with shares.Workers(embed, len(trials.ids)) as workers:
+        embeddings, norms = zip(*workers.map(trials.ids))
+    trials.scores = mt.cosine_score(np.stack(embeddings), np.array(norms),
+                                    trials.enroll, trials.test)
     Path(args.out).write_text(mt.format_scores(trials))
-    print(f"scored={len(trials)} out={args.out}")
+    print(f"scored={len(trials.labels)} out={args.out}")
     return 0
 
 

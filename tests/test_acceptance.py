@@ -270,6 +270,12 @@ def _min_dcf_oracle(targets, nontargets, p_target=0.05, grid=20001):
     return best / min(p_target, 1 - p_target)
 
 
+def _columns(trials):
+    """A list of `Trial`s as the scores file `metrics` reads would give it."""
+    return mt.parse_scores("".join(f"{t.label} {t.enroll} {t.test} {float(t.score)!r}\n"
+                                   for t in trials))
+
+
 def test_criterion_6_metric_oracle(acceptance_report):
     rng = np.random.default_rng(400)
     worst = 0.0
@@ -280,7 +286,7 @@ def test_criterion_6_metric_oracle(acceptance_report):
         non = rng.normal(-0.4, 1.0, n_n)
         trials = [mt.Trial(1, "e", "t", s) for s in tgt]
         trials += [mt.Trial(0, "e", "t", s) for s in non]
-        result = mt.evaluate_trials(trials)
+        result = mt.evaluate_trials(_columns(trials))
         eer_oracle = _eer_oracle(tgt, non)
         worst = max(worst, abs(result.eer - eer_oracle),
                     abs(mt.compute_eer(trials)[0] - eer_oracle),
@@ -288,7 +294,7 @@ def test_criterion_6_metric_oracle(acceptance_report):
     four = [mt.Trial(1, "a", "b", 0.9), mt.Trial(1, "c", "d", 0.2),
             mt.Trial(0, "e", "f", 0.8), mt.Trial(0, "g", "h", 0.1)]
     eer4, _ = mt.compute_eer(four)
-    dcf4 = mt.evaluate_trials(four).min_dcf
+    dcf4 = mt.evaluate_trials(_columns(four)).min_dcf
     ok = worst < 1e-6 and eer4 == 0.5 and dcf4 == 0.5
     acceptance_report(6, "EER/minDCF match the brute-force oracle", ok,
            f"(max dev = {worst:.2e}, four-score set EER={eer4} minDCF={dcf4})")
@@ -328,8 +334,7 @@ def _run_variant(variant, aggregation, corpus, work, epochs=30):
                          "--out", str(scores_path)]) == 0
     losses = [float(m) for m in re.findall(r"epoch=\d+ loss=([0-9.eE+-]+)", log.getvalue())]
     assert len(losses) == epochs
-    trials = mt.parse_scores(scores_path.read_text())
-    eer, _ = mt.compute_eer(trials)
+    eer = mt.evaluate_trials(mt.parse_scores(scores_path.read_text())).eer
     return losses, eer
 
 

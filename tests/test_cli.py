@@ -545,10 +545,11 @@ class TestScoreAndMetrics:
         assert cli.main(["score", "--checkpoint", str(ckpt), "--trials", str(trials),
                          "--features", str(feat_dir), "--out", str(scores)]) == 0
         scored = mt.parse_scores(scores.read_text())
-        assert [(t.label, t.enroll, t.test) for t in scored] == [
+        assert [(label, scored.ids[e], scored.ids[t]) for label, e, t in
+                zip(scored.labels, scored.enroll, scored.test)] == [
             (1, "u0.wav", "u0.wav"), (0, "u0.wav", "u1.wav")]
-        assert all(np.isfinite(t.score) for t in scored)
-        assert scored[0].score == 1.0 and scored[1].score < 1.0
+        assert np.all(np.isfinite(scored.scores))
+        assert scored.scores[0] == 1.0 and scored.scores[1] < 1.0
 
     def test_nested_trial_ids_keep_their_directories(self, synth_dir, trained_checkpoint,
                                                      tmp_path, capsys):
@@ -571,18 +572,37 @@ class TestScoreAndMetrics:
 
     def test_unknown_trial_id_fails_with_name(self, synth_dir, trained_checkpoint,
                                               tmp_path, capsys):
-        # ".", "..", "/" and "a/" name a directory or nothing: no name to give
-        # a suffix to, and still one error line
+        # ".", "..", "/" and "a/" name a directory or nothing, "/" has no
+        # name to give a suffix to; each is one error line naming the id
         _, ckpt = trained_checkpoint
         trials, out = tmp_path / "trials.txt", tmp_path / "s.txt"
-        errors = []
         for trial_id in ("ghost.feat", ".", "..", "/", "a/"):
             trials.write_text(f"1 {trial_id} spk000_utt004.feat\n")
             assert run_score(ckpt, trials, synth_dir / "feats", out) == 1
-            errors.append(capsys.readouterr().err)
-            assert errors[-1].startswith("error: ") and errors[-1].count("\n") == 1
+            assert capsys.readouterr().err == (
+                f"error: no feature file for trial id {trial_id!r} "
+                f"under {synth_dir / 'feats'}\n")
             assert not out.exists()
-        assert "ghost.feat" in errors[0]
+
+    def test_scores_equal_a_per_trial_loop(self, synth_dir, trained_checkpoint, tmp_path):
+        # the reference embeds each trial's two utterances and scores the pair
+        # with np.dot, one trial at a time
+        _, ckpt = trained_checkpoint
+        out = tmp_path / "s.txt"
+        assert run_score(ckpt, synth_dir / "trials.txt", synth_dir / "feats", out) == 0
+        cfg, net = cli._load_model(ckpt)
+
+        def embed(tid):
+            x = feats.read_feat(synth_dir / "feats" / tid, cfg.mel.n_mels)
+            return sn.forward_embed(net, x[None, :, :])
+        lines = []
+        for line in (synth_dir / "trials.txt").read_text().splitlines():
+            label, enroll, test = line.split()
+            a, b = embed(enroll), embed(test)
+            score = float(np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b)))
+            lines.append(f"{label} {enroll} {test} {score:.6f}\n")
+        assert len(lines) == 20
+        assert out.read_text() == "".join(lines)
 
     def test_metrics_on_derived_four_score_set(self, tmp_path, capsys):
         scores = tmp_path / "scores.txt"

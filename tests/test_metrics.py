@@ -7,6 +7,18 @@ from freqattn.errors import NumericError, ParseError
 
 
 def scored(targets, nontargets):
+    """Trials columns, targets first: trial i compares e{i} with t{i}."""
+    scores = np.concatenate([np.asarray(targets, dtype=np.float64),
+                             np.asarray(nontargets, dtype=np.float64)])
+    n = len(scores)
+    return mt.Trials(labels=np.repeat(np.int8([1, 0]), [len(targets), len(nontargets)]),
+                     ids=[f"{side}{i}" for i in range(n) for side in "et"],
+                     enroll=np.arange(0, 2 * n, 2), test=np.arange(1, 2 * n, 2),
+                     scores=scores)
+
+
+def trial_objects(targets, nontargets):
+    """The same trials as `scored`, as the list of `Trial`s `compute_eer` takes."""
     trials = [mt.Trial(1, f"e{i}", f"t{i}", score=s) for i, s in enumerate(targets)]
     trials += [mt.Trial(0, f"e{i}", f"t{i}", score=s)
                for i, s in enumerate(nontargets, start=len(targets))]
@@ -45,7 +57,8 @@ def min_dcf_brute_force(targets, nontargets, p_target=0.05, grid=20001):
 
 
 def cosine(a, b):
-    return mt.cosine_score(a, mt.embedding_norm(a), b, mt.embedding_norm(b))
+    norms = np.array([mt.embedding_norm(a), mt.embedding_norm(b)])
+    return float(mt.cosine_score(np.stack([a, b]), norms, np.array([0]), np.array([1]))[0])
 
 
 class TestCosine:
@@ -84,28 +97,57 @@ class TestCosine:
                                                          * np.linalg.norm(b)))
 
 
+class TestCosineColumns:
+    """cosine_score over trial columns is bitwise the per-pair np.dot score."""
+
+    @pytest.mark.parametrize("n_trials", [1, mt.CHUNK, mt.CHUNK + 1, 2 * mt.CHUNK + 7])
+    @pytest.mark.parametrize("dim", [3, 64])
+    def test_bitwise_equal_to_per_pair_dot(self, n_trials, dim):
+        rng = np.random.default_rng(n_trials * dim)
+        n_ids = 12                       # few ids, so most repeat
+        emb = rng.standard_normal((n_ids, dim)) * 10.0 ** rng.uniform(-3, 3, (n_ids, 1))
+        norms = np.array([mt.embedding_norm(v) for v in emb])
+        enroll = rng.integers(0, n_ids, n_trials)
+        test = rng.integers(0, n_ids, n_trials)
+        got = mt.cosine_score(emb, norms, enroll, test)
+        want = [float(np.dot(emb[i], emb[j]) / (norms[i] * norms[j]))
+                for i, j in zip(enroll, test)]
+        assert got.dtype == np.float64 and got.tolist() == want
+
+    def test_no_trials(self):
+        emb = np.ones((1, 4))
+        got = mt.cosine_score(emb, np.array([2.0]), np.array([], dtype=np.intp),
+                              np.array([], dtype=np.intp))
+        assert got.shape == (0,)
+
+
 class TestEer:
     def test_perfect_separation(self):
-        eer, _ = mt.compute_eer(scored([0.8, 0.9], [0.1, 0.2]))
+        eer, _ = mt.compute_eer(trial_objects([0.8, 0.9], [0.1, 0.2]))
         assert eer == 0.0
 
     def test_interleaved_four_scores(self):
-        eer, threshold = mt.compute_eer(scored([0.9, 0.2], [0.8, 0.1]))
+        eer, threshold = mt.compute_eer(trial_objects([0.9, 0.2], [0.8, 0.1]))
         assert eer == pytest.approx(0.5)
         assert threshold == pytest.approx(0.8)
 
     def test_fully_inverted(self):
-        eer, _ = mt.compute_eer(scored([0.1, 0.2], [0.8, 0.9]))
+        eer, _ = mt.compute_eer(trial_objects([0.1, 0.2], [0.8, 0.9]))
         assert eer == pytest.approx(1.0)
 
     def test_missing_class(self):
         with pytest.raises(ValueError):
             mt.compute_eer([mt.Trial(1, "a", "b", score=0.5)])
+        with pytest.raises(ValueError):
+            mt.evaluate_trials(scored([0.5], []))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_score_rejected(self, bad):
-        with pytest.raises(NumericError, match="trial e1 t1"):
+        message = f"non-finite score {bad} for trial e1 t1"
+        with pytest.raises(NumericError, match=f"^{message}$"):
             mt.evaluate_trials(scored([0.8, bad], [0.1, 0.2]))
+        with pytest.raises(NumericError, match=f"^{message}$"):
+            mt.compute_eer(trial_objects([0.8, bad], [0.1, 0.2]))
 
     def test_matches_brute_force_on_random_sets(self):
         rng = np.random.default_rng(0)
@@ -167,7 +209,7 @@ class TestGolden:
         ([0.5, 0.5], [0.5], (0.5, 1.0, 1.0)),
     ])
     def test_exact_values(self, tgt, non, expected):
-        assert mt.compute_eer(scored(tgt, non)) == expected[:2]
+        assert mt.compute_eer(trial_objects(tgt, non)) == expected[:2]
         m = mt.evaluate_trials(scored(tgt, non))
         assert (m.eer, m.eer_threshold, m.min_dcf) == expected
 
@@ -210,27 +252,122 @@ class TestInvariances:
 class TestTrialParsing:
     def test_target_line(self):
         trials = mt.parse_trials("1 a.wav b.wav\n")
-        assert trials == [mt.Trial(1, "a.wav", "b.wav")]
+        assert trials.labels.dtype == np.int8 and trials.labels.tolist() == [1]
+        assert trials.ids == ["a.wav", "b.wav"]
+        assert (trials.enroll.tolist(), trials.test.tolist()) == ([0], [1])
+        assert trials.scores is None
 
     def test_nontarget_line(self):
-        assert mt.parse_trials("0 a.wav b.wav")[0].label == 0
+        assert mt.parse_trials("0 a.wav b.wav").labels.tolist() == [0]
+
+    def test_ids_in_order_of_first_use(self):
+        trials = mt.parse_trials("1 c a\n0 b c\n1 a d\n0 d d\n")
+        assert trials.ids == ["c", "a", "b", "d"]
+        assert trials.enroll.tolist() == [0, 2, 1, 3]
+        assert trials.test.tolist() == [1, 0, 3, 3]
+        assert trials.labels.tolist() == [1, 0, 1, 0]
+
+    def test_blank_lines_and_crlf_endings(self):
+        trials = mt.parse_scores("\r\n1 a b 0.5\r\n\r\n  \n0 a c -0.25\r\n")
+        assert trials.labels.tolist() == [1, 0]
+        assert trials.ids == ["a", "b", "c"]
+        assert trials.scores.dtype == np.float64 and trials.scores.tolist() == [0.5, -0.25]
+
+    def test_empty_text_is_no_trials(self):
+        for text in ("", "\n \n"):
+            trials = mt.parse_trials(text)
+            assert trials.ids == [] and trials.labels.size == trials.enroll.size == 0
 
     def test_invalid_label(self):
-        with pytest.raises(ParseError, match="line 1"):
+        with pytest.raises(ParseError, match="^line 1: label must be 0 or 1, got '2'$"):
             mt.parse_trials("2 a b")
 
     def test_wrong_field_count_reports_line(self):
-        with pytest.raises(ParseError, match="line 2"):
+        with pytest.raises(ParseError, match="^line 2: expected 3 fields, got 2$"):
             mt.parse_trials("1 a b\n1 a\n")
+
+    def test_bad_score_field(self):
+        with pytest.raises(ParseError, match="^line 1: bad score 'notanumber'$"):
+            mt.parse_scores("1 a b notanumber")
+
+    @pytest.mark.parametrize("parse, text, message", [
+        (mt.parse_trials, "1 a b\n\n\n  \n1 a\n", "line 5: expected 3 fields, got 2"),
+        (mt.parse_trials, "1 a b\r\n\r\n0 a b c\r\n", "line 3: expected 3 fields, got 4"),
+        (mt.parse_trials, "1 a b\n01 a b\n", "line 2: label must be 0 or 1, got '01'"),
+        (mt.parse_trials, "1.0 a b\n1 a\n", "line 1: label must be 0 or 1, got '1.0'"),
+        (mt.parse_trials, "1 a b\n1 a b 0.5\n0 a c\n", "line 2: expected 3 fields, got 4"),
+        (mt.parse_scores, "1 a b 0.5\n\n0 a c 0.5.1\n1 a\n", "line 3: bad score '0.5.1'"),
+        (mt.parse_scores, "1 a b x\n1 a b\n", "line 1: bad score 'x'"),
+        (mt.parse_scores, "1 a b 0.5\n1 a b\n0 c d x\n", "line 2: expected 4 fields, got 3"),
+        (mt.parse_scores, "1 a b 0.5\n01 a b 0.5\n", "line 2: label must be 0 or 1, got '01'"),
+        (mt.parse_scores, "1 a b 0.5\r\n\r\n1.0 a b 0.5\r\n",
+         "line 3: label must be 0 or 1, got '1.0'"),
+    ])
+    def test_parse_error_names_first_bad_line(self, parse, text, message):
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert str(info.value) == message
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_equals_a_per_line_parse(self, data):
+        # the reference walks the lines one by one, as a parser of Trial objects did
+        scored_file = data.draw(st.booleans())
+        names = st.sampled_from(["a", "b", "c"])
+        good = st.tuples(st.sampled_from(["0", "1"]), names, names,
+                         st.sampled_from(["0.5", "-1e3", "nan", "1_0"]))
+        bad = st.lists(st.sampled_from(["0", "1", "01", "1.0", "a", "x", "0.5"]), max_size=5)
+        text = ""
+        for _ in range(data.draw(st.integers(0, 8))):
+            fields = data.draw(bad if data.draw(st.integers(0, 7)) == 0 else good)
+            text += (data.draw(st.sampled_from([" ", "\t", "  "]))
+                     .join(fields[:4 if scored_file else 3])
+                     + data.draw(st.sampled_from(["\n", "\n", "\r\n", ""])))
+        n_fields = 4 if scored_file else 3
+        want = []
+        try:
+            for lineno, line in enumerate(text.splitlines(), start=1):
+                parts = line.split()
+                if not parts:
+                    continue
+                if len(parts) != n_fields:
+                    raise ParseError(f"line {lineno}: expected {n_fields} fields, "
+                                     f"got {len(parts)}")
+                if parts[0] not in ("0", "1"):
+                    raise ParseError(f"line {lineno}: label must be 0 or 1, got {parts[0]!r}")
+                try:
+                    score = float(parts[3]) if scored_file else None
+                except ValueError:
+                    raise ParseError(f"line {lineno}: bad score {parts[3]!r}") from None
+                want.append((int(parts[0]), parts[1], parts[2], score))
+        except ParseError as exc:
+            want = str(exc)
+        parse = mt.parse_scores if scored_file else mt.parse_trials
+        try:
+            trials = parse(text)
+        except ParseError as exc:
+            assert str(exc) == want
+            return
+        scores = trials.scores.tolist() if scored_file else [None] * len(trials.labels)
+        got = [(label, trials.ids[e], trials.ids[t], s) for label, e, t, s in
+               zip(trials.labels.tolist(), trials.enroll, trials.test, scores)]
+        assert repr(got) == repr(want)      # a nan score is not == itself
+        assert trials.ids == list(dict.fromkeys(tid for _, e, t, _ in want for tid in (e, t)))
 
     def test_scores_roundtrip(self):
         trials = scored([0.123456789], [-0.5])
         text = mt.format_scores(trials)
-        assert "0.123457" in text
+        assert text == "1 e0 t0 0.123457\n0 e1 t1 -0.500000\n"
         back = mt.parse_scores(text)
-        assert back[0].score == pytest.approx(0.123457)
-        assert [t.label for t in back] == [1, 0]
+        assert back.scores[0] == pytest.approx(0.123457)
+        assert back.labels.tolist() == [1, 0]
+        assert mt.format_scores(back) == text
 
-    def test_bad_score_field(self):
-        with pytest.raises(ParseError, match="line 1"):
-            mt.parse_scores("1 a b notanumber")
+    def test_format_scores_equals_per_trial_lines(self):
+        rng = np.random.default_rng(5)
+        tgt, non = rng.normal(0.3, 0.4, 50), rng.normal(-0.1, 0.4, 70)
+        tgt[:3] = [-0.0, 1e-7, -5e-7]       # signed zero and half-way roundings
+        trials = scored(tgt, non)
+        lines = [f"{label} {trials.ids[e]} {trials.ids[t]} {s:.6f}" for label, e, t, s in
+                 zip(trials.labels.tolist(), trials.enroll, trials.test, trials.scores)]
+        assert mt.format_scores(trials) == "\n".join(lines) + "\n"
