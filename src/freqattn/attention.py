@@ -93,7 +93,6 @@ class AttentionState:
     planes: Optional[np.ndarray]        # (k, F, T) normalized planes, None for the GAP squeeze
     reads: list                         # per branch: None (mean over k) or each channel's row
     zs: list = field(default_factory=list)       # one descriptor per bottleneck branch
-    pre: list = field(default_factory=list)      # w1 @ z per branch
     hid: list = field(default_factory=list)      # relu(w1 @ z) per branch
 
 
@@ -135,11 +134,9 @@ def forward(block: AttentionBlock, x: np.ndarray):
     u = np.zeros(c)
     for rows in state.reads:
         z = z_full.mean(axis=0) if rows is None else z_full[rows, cols]
-        a = block.w1.value @ z
-        h = relu(a)
+        h = relu(block.w1.value @ z)
         u += block.w2.value @ h     # branches share the bottleneck, summed before the sigmoid
         state.zs.append(z)
-        state.pre.append(a)
         state.hid.append(h)
     s = state.s = sigmoid(u)
     y = x * s[:, None, None]
@@ -151,7 +148,8 @@ def attention_backward(block: AttentionBlock, state: AttentionState, dy: np.ndar
 
     The DCT planes are constants, so the squeeze transpose only scatters
     each branch's dz back onto the responses it read and routes the (k, C)
-    result back through the planes.
+    result back through the planes. Every branch gets the same dh = w2^T du;
+    relu(a) > 0 exactly where a > 0, so its ReLU mask comes from hid.
     """
     x, s = state.x, state.s
     if dy.shape != x.shape:
@@ -168,10 +166,10 @@ def attention_backward(block: AttentionBlock, state: AttentionState, dy: np.ndar
     dw1 = np.zeros_like(block.w1.value)
     dw2 = np.zeros_like(block.w2.value)
     dz_full = np.zeros((k, c))
-    for rows, z, a, h in zip(state.reads, state.zs, state.pre, state.hid):
+    dh = block.w2.value.T @ du
+    for rows, z, h in zip(state.reads, state.zs, state.hid):
         dw2 += np.outer(du, h)
-        dh = block.w2.value.T @ du
-        da = relu_backward(a, dh)
+        da = relu_backward(h, dh)
         dw1 += np.outer(da, z)
         dz = block.w1.value.T @ da
         if rows is None:

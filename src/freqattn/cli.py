@@ -70,7 +70,7 @@ def cmd_verify_dct(args) -> int:
 def cmd_extract(args) -> int:
     cfg = cfgmod.load_config(args.config) if args.config else cfgmod.RunConfig()
     in_dir = Path(args.in_dir)
-    wavs = sorted(in_dir.glob("*.wav"))
+    wavs = sorted(in_dir.rglob("*.wav"))
     if not wavs:
         raise ConfigError(f"no .wav files in {in_dir}")
     out_dir = Path(args.out_dir)
@@ -83,7 +83,9 @@ def cmd_extract(args) -> int:
                 x = feats.logmel(wave, cfg.mel)
                 if cfg.mvn:
                     x = feats.mvn(x)
-            feats.write_feat(out_dir / (wav.stem + ".feat"), x)
+            out = out_dir / wav.relative_to(in_dir).with_suffix(".feat")
+            out.parent.mkdir(parents=True, exist_ok=True)
+            feats.write_feat(out, x)
         except (FreqattnError, OSError) as exc:
             _report(exc)
             failures += 1
@@ -283,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-dct", help="check DCT basis properties")
     p.set_defaults(fn=cmd_verify_dct)
 
-    p = sub.add_parser("extract", help="WAV directory -> FEAT directory")
+    p = sub.add_parser("extract", help="WAV tree -> FEAT tree")
     p.add_argument("--in", dest="in_dir", required=True)
     p.add_argument("--out", dest="out_dir", required=True)
     p.add_argument("--config", default=None)

@@ -19,17 +19,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import CapacityError, DimensionError
 from .tensor import tensor
-
-
-class FrequencyIndex(NamedTuple):
-    f: int
-    t: int
 
 
 def _cos_table(freqs, n_pos: int) -> np.ndarray:
@@ -55,13 +49,6 @@ def dct_basis(f_dim: int, t_dim: int, indices) -> np.ndarray:
     planes /= f_dim * t_dim
     planes.setflags(write=False)
     return planes
-
-
-def basis_plane(f_dim: int, t_dim: int, idx: FrequencyIndex) -> np.ndarray:
-    """Unnormalized, read-only cosine-product plane for (f, t) on an F x T grid."""
-    plane = _planes(f_dim, t_dim, [idx])[0]
-    plane.setflags(write=False)
-    return plane
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +109,7 @@ def gap(x: np.ndarray) -> np.ndarray:
 
 
 def select_frequency_indices(f_dim: int, t_dim: int, k: int) -> list:
-    """Pick the k lowest-frequency indices in zigzag order.
+    """Pick the k lowest-frequency indices, as (f, t) tuples, in zigzag order.
 
     Indices rank by f+t, breaking ties by smaller f then smaller t, so the
     first index is always (0, 0). The anti-diagonals d = f + t are walked in
@@ -132,7 +119,7 @@ def select_frequency_indices(f_dim: int, t_dim: int, k: int) -> list:
         raise CapacityError(
             f"cannot select k={k} frequency components from a {f_dim}x{t_dim} grid "
             f"({f_dim * t_dim} available)")
-    zigzag = (FrequencyIndex(f, d - f)
+    zigzag = ((f, d - f)
               for d in range(f_dim + t_dim - 1)
               for f in range(max(0, d - t_dim + 1), min(d, f_dim - 1) + 1))
     return list(itertools.islice(zigzag, k))
@@ -204,10 +191,7 @@ def run_verification() -> list:
         f"max |idct2d(dct2d_orthonormal(x)) - x| = {worst:.3e}"))
 
     # repeated basis construction is bitwise identical
-    a = _planes(7, 5, [(2, 3)])[0]
-    b = _planes(7, 5, [(2, 3)])[0]
-    same = bool(np.array_equal(a, b)) and np.array_equal(
-        basis_plane(7, 5, FrequencyIndex(2, 3)), a)
+    same = bool(np.array_equal(dct_basis(7, 5, [(2, 3)]), dct_basis(7, 5, [(2, 3)])))
     results.append(PropertyResult(
         "determinism", same, "repeated basis generation is bitwise identical"))
 

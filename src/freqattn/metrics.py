@@ -103,13 +103,17 @@ def _roc(tgt, non):
     """(thresholds, p_miss, p_fa) at every distinct score.
 
     The first point has (p_miss, p_fa) = (0, 1); a final point one step past
-    the maximum pins down (1, 0).
+    the maximum pins down (1, 0). The step is 1.0, or the next float up
+    where the maximum is so large that adding 1.0 leaves it unchanged.
     """
     tgt, non = np.sort(tgt), np.sort(non)     # float64, from _split_scores
     both = np.sort(np.concatenate([tgt, non]))
     # the distinct scores as np.unique gives them, without its import of numpy.ma
     levels = both[np.append(True, both[1:] != both[:-1])]
-    thresholds = np.append(levels, levels[-1] + 1.0)
+    past = levels[-1] + 1.0
+    if past == levels[-1]:
+        past = np.nextafter(past, np.inf)
+    thresholds = np.append(levels, past)
     p_miss = np.searchsorted(tgt, thresholds, side="left") / tgt.size
     p_fa = (non.size - np.searchsorted(non, thresholds, side="left")) / non.size
     return thresholds, p_miss, p_fa

@@ -338,26 +338,23 @@ class _SharedBatch:
     Each parameter's value becomes a view into the weights, so Adam's in-place
     update is what every worker reads next, and its gradient a view into
     `grad`, a plain array of which each forked worker has its own copy. Both
-    are fixed for the run; each view starts on a 64-byte boundary.
+    are fixed for the run; the parameters lie back to back, in order.
     """
 
     def __init__(self, params, rows: int, crop_shape):
-        offsets, width = [], 0
-        for p in params:
-            offsets.append(width)
-            width += -(-p.size // 8) * 8
+        width = sum(p.size for p in params)
         block = shares.shared_zeros(width * (1 + rows) + rows * crop_shape[0] * crop_shape[1])
         self.weights = block[:width]
         self.slots = block[width:width * (1 + rows)].reshape(rows, width)
         self.crops = block[width * (1 + rows):].reshape(rows, *crop_shape)
-        spare = np.zeros(width + 8)
-        start = -spare.ctypes.data % 64 // 8
-        self.grad = spare[start:start + width]
-        for p, o in zip(params, offsets):
-            value = self.weights[o:o + p.size].reshape(p.value.shape)
+        self.grad = np.zeros(width)
+        offset = 0
+        for p in params:
+            value = self.weights[offset:offset + p.size].reshape(p.value.shape)
             value[...] = p.value
             p.value = value
-            p.grad = self.grad[o:o + p.size].reshape(value.shape)
+            p.grad = self.grad[offset:offset + p.size].reshape(value.shape)
+            offset += p.size
 
     def mean_of_slots(self, count: int) -> None:
         """Slot 0 becomes the mean of the first `count` slots, added in slot

@@ -49,9 +49,8 @@ def test_criterion_2_orthogonality_and_round_trip(acceptance_report):
     worst_inner = 0.0
     for f_dim in range(1, 9):
         for t_dim in range(1, 9):
-            flat = np.stack([
-                dct.basis_plane(f_dim, t_dim, dct.FrequencyIndex(f, t)).ravel()
-                for f in range(f_dim) for t in range(t_dim)])
+            planes = dct.dct_basis(f_dim, t_dim, list(np.ndindex(f_dim, t_dim)))
+            flat = planes.reshape(f_dim * t_dim, -1) * (f_dim * t_dim)
             gram = flat @ flat.T
             worst_inner = max(worst_inner, float(np.max(np.abs(
                 gram - np.diag(np.diag(gram))))))

@@ -551,6 +551,28 @@ class TestScoreAndMetrics:
         assert np.all(np.isfinite(scored.scores))
         assert scored.scores[0] == 1.0 and scored.scores[1] < 1.0
 
+    def test_extracted_tree_scores_by_nested_ids(self, trained_checkpoint, tmp_path,
+                                                 capsys):
+        # extract keeps each WAV file's directories, so id1/v1/00001.wav and
+        # id2/v1/00001.wav become two FEAT files that score finds by their ids
+        _, ckpt = trained_checkpoint
+        wav_dir, feat_dir = tmp_path / "wav", tmp_path / "feat"
+        rng = np.random.default_rng(2)
+        ids = ["id1/v1/00001.wav", "id2/v1/00001.wav"]
+        for tid in ids:
+            (wav_dir / tid).parent.mkdir(parents=True)
+            write_wav(wav_dir / tid, rng.uniform(-0.5, 0.5, 9600))
+        assert cli.main(["extract", "--in", str(wav_dir), "--out", str(feat_dir)]) == 0
+        assert capsys.readouterr().out == "extracted=2 failed=0\n"
+        assert sorted(str(p.relative_to(feat_dir)) for p in feat_dir.rglob("*.feat")) == [
+            "id1/v1/00001.feat", "id2/v1/00001.feat"]
+        trials = tmp_path / "trials.txt"
+        trials.write_text(f"1 {ids[0]} {ids[0]}\n0 {ids[0]} {ids[1]}\n")
+        scores = tmp_path / "s.txt"
+        assert run_score(ckpt, trials, feat_dir, scores) == 0
+        scored = mt.parse_scores(scores.read_text())
+        assert scored.scores[0] == 1.0 and scored.scores[1] < 1.0
+
     def test_nested_trial_ids_keep_their_directories(self, synth_dir, trained_checkpoint,
                                                      tmp_path, capsys):
         # a/1.wav, b/1.wav and c/1.wav are three utterances; the flat 1.feat
@@ -641,6 +663,17 @@ class TestScoreAndMetrics:
         scores.write_text("\n".join(lines) + "\n")
         assert cli.main(["metrics", "--scores", str(scores)]) == 0
         assert capsys.readouterr().out == "EER=31.346154 minDCF=0.900000\n"
+
+    @pytest.mark.parametrize("content, line", [
+        ("1 a b 1e17\n0 c d 1e17\n1 e f 0.5\n", "EER=66.666667 minDCF=1.000000\n"),
+        ("1 a b -1e300\n0 c d 1e300\n", "EER=100.000000 minDCF=1.000000\n"),
+    ])
+    def test_metrics_on_scores_past_float_step(self, tmp_path, capsys, content, line):
+        # |score| >= 2**53, so adding 1.0 to the top score does not move past it
+        scores = tmp_path / "scores.txt"
+        scores.write_text(content)
+        assert cli.main(["metrics", "--scores", str(scores)]) == 0
+        assert capsys.readouterr() == (line, "")
 
     def test_metrics_perfect_separation(self, tmp_path, capsys):
         scores = tmp_path / "scores.txt"

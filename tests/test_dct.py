@@ -26,13 +26,17 @@ def dct2d_naive(x):
     return sp
 
 
+def raw_plane(f_dim, t_dim, f, t):
+    """dct_basis's normalized (f, t) plane scaled back by F*T."""
+    return dct.dct_basis(f_dim, t_dim, [(f, t)])[0] * (f_dim * t_dim)
+
+
 class TestBasisPlane:
     def test_lowest_plane_is_ones(self):
-        assert np.array_equal(dct.basis_plane(4, 4, dct.FrequencyIndex(0, 0)),
-                              np.ones((4, 4)))
+        assert np.array_equal(raw_plane(4, 4, 0, 0), np.ones((4, 4)))
 
     def test_two_point_column(self):
-        p = dct.basis_plane(2, 1, dct.FrequencyIndex(1, 0))
+        p = raw_plane(2, 1, 1, 0)
         expected = [[0.7071067811865476], [-0.7071067811865476]]
         assert np.allclose(p, expected, atol=1e-15)
 
@@ -40,26 +44,26 @@ class TestBasisPlane:
         for n in (2, 3, 5):
             for f in range(n):
                 for t in range(n):
-                    a = dct.basis_plane(n, n, dct.FrequencyIndex(f, t))
-                    b = dct.basis_plane(n, n, dct.FrequencyIndex(t, f))
+                    a = raw_plane(n, n, f, t)
+                    b = raw_plane(n, n, t, f)
                     assert np.allclose(a, b.T, atol=1e-15)
 
     def test_matches_naive_oracle(self):
         for f_dim, t_dim in [(3, 4), (8, 5), (1, 6)]:
             for f in range(f_dim):
                 for t in range(t_dim):
-                    got = dct.basis_plane(f_dim, t_dim, dct.FrequencyIndex(f, t))
+                    got = raw_plane(f_dim, t_dim, f, t)
                     assert np.allclose(got, plane_naive(f_dim, t_dim, f, t), atol=1e-14)
 
     def test_out_of_range_index(self):
         with pytest.raises(IndexError):
-            dct.basis_plane(4, 4, dct.FrequencyIndex(4, 0))
+            dct.dct_basis(4, 4, [(4, 0)])
         with pytest.raises(IndexError):
-            dct.basis_plane(4, 4, dct.FrequencyIndex(0, -1))
+            dct.dct_basis(4, 4, [(0, -1)])
 
     def test_plane_is_readonly_and_bitwise_stable(self):
-        a = dct.basis_plane(6, 6, dct.FrequencyIndex(2, 1))
-        b = dct.basis_plane(6, 6, dct.FrequencyIndex(2, 1))
+        a = dct.dct_basis(6, 6, [(2, 1)])
+        b = dct.dct_basis(6, 6, [(2, 1)])
         assert not a.flags.writeable and not b.flags.writeable
         assert a.tobytes() == b.tobytes()
 
@@ -166,7 +170,7 @@ class TestSelectFrequencyIndices:
                 for k in range(f_dim * t_dim + 1):
                     got = dct.select_frequency_indices(f_dim, t_dim, k)
                     assert got == ranked[:k], (f_dim, t_dim, k)
-                    assert all(isinstance(i, dct.FrequencyIndex) for i in got)
+                    assert all(type(i) is tuple for i in got)
                 with pytest.raises(CapacityError, match=f"{f_dim}x{t_dim} grid"):
                     dct.select_frequency_indices(f_dim, t_dim, f_dim * t_dim + 1)
 
@@ -191,37 +195,72 @@ class TestDctBasis:
         assert a.tobytes() == b.tobytes()
 
 
+def worst_inner_product(f_dim, t_dim):
+    """Largest |<Di, Dj>| over distinct planes of dct_basis on an F x T grid,
+    every plane scaled back by F*T."""
+    planes = dct.dct_basis(f_dim, t_dim, list(np.ndindex(f_dim, t_dim)))
+    flat = planes.reshape(f_dim * t_dim, -1) * (f_dim * t_dim)
+    gram = flat @ flat.T
+    return float(np.max(np.abs(gram - np.diag(np.diag(gram)))))
+
+
 class TestOrthogonality:
     def test_all_distinct_pairs_on_small_grids(self):
         for f_dim in range(1, 9):
             for t_dim in range(1, 9):
-                flat = np.stack([
-                    dct.basis_plane(f_dim, t_dim, dct.FrequencyIndex(f, t)).ravel()
-                    for f in range(f_dim) for t in range(t_dim)])
-                gram = flat @ flat.T
-                off = gram - np.diag(np.diag(gram))
-                assert np.max(np.abs(off)) < 1e-9, (f_dim, t_dim)
+                assert worst_inner_product(f_dim, t_dim) < 1e-9, (f_dim, t_dim)
+
+    def test_plane_perturbed_by_dct_basis_fails(self, monkeypatch):
+        dct_basis = dct.dct_basis
+
+        def perturbed(f_dim, t_dim, indices):
+            out = dct_basis(f_dim, t_dim, indices).copy()
+            if out.shape[0] > 1:
+                out[1] += 1e-3
+            return out
+
+        monkeypatch.setattr(dct, "dct_basis", perturbed)
+        assert worst_inner_product(3, 4) > 1e-9
+
+
+def build_in_threads(n_threads=8):
+    """The same 16 planes of dct_basis, built in each of n_threads threads;
+    the first exception a thread raised is raised here."""
+    import threading
+
+    results, errors = [None] * n_threads, []
+
+    def worker(i):
+        try:
+            results[i] = np.stack([dct.dct_basis(11, 9, [(f, t)])[0]
+                                   for f in range(4) for t in range(4)])
+        except Exception as exc:    # re-raised in the calling thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(n_threads)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    if errors:
+        raise errors[0]
+    return results
 
 
 class TestThreadedPlanes:
     def test_parallel_plane_builds_are_bitwise_equal(self):
-        import threading
-
-        results = [None] * 8
-
-        def worker(i):
-            # every thread builds the same 16 planes; all must match bit for bit
-            planes = [dct.basis_plane(11, 9, dct.FrequencyIndex(f, t))
-                      for f in range(4) for t in range(4)]
-            results[i] = np.stack(planes)
-
-        threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        for r in results[1:]:
+        results = build_in_threads()
+        for r in results:
+            assert isinstance(r, np.ndarray) and r.shape == (16, 11, 9)
             assert np.array_equal(r, results[0])
+
+    def test_builder_that_raises_fails(self, monkeypatch):
+        def broken(f_dim, t_dim, indices):
+            raise AttributeError("broken builder")
+
+        monkeypatch.setattr(dct, "dct_basis", broken)
+        with pytest.raises(AttributeError, match="broken builder"):
+            build_in_threads()
 
 
 def perturb_second_plane(monkeypatch):

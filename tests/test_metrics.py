@@ -207,6 +207,9 @@ class TestGolden:
         (*tie_heavy(22, 3, 200), (0.6019417475728155, -0.2038834951456311, 1.0)),
         (*tie_heavy(23, 60, 9), (0.4444444444444444, 0.19777777777777777, 0.9)),
         ([0.5, 0.5], [0.5], (0.5, 1.0, 1.0)),
+        # scores so large that max + 1.0 == max: the last point must still be (1, 0)
+        ([1e17, 0.5], [1e17], (0.6666666666666666, 1e17, 1.0)),
+        ([-1e300], [1e300], (1.0, 1e300, 1.0)),
     ])
     def test_exact_values(self, tgt, non, expected):
         assert mt.compute_eer(trial_objects(tgt, non)) == expected[:2]
